@@ -38,6 +38,7 @@ from .piecewise import DiscreteMeasure, PiecewisePolynomial, integral_against_de
 from .moi import (
     MoiSymbol,
     OperatorTuple,
+    eigen_tuples,
     frechet_derivative,
     moi_eval,
     moi_eval_separated_rational,
@@ -79,6 +80,6 @@ from .approx import (
     remainder_sup_experiment,
     shift_density_convergence,
 )
-from . import ensembles, parallel
+from . import ensembles
 
 __version__ = "0.1.0"

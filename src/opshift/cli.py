@@ -11,9 +11,10 @@ Subcommands
 Every run writes ``report.json`` into the output directory; the ssf
 suite additionally writes ``eta_<m>.json``/``eta_<m>.csv`` and the
 approx suite ``convergence.csv``.  Reports are byte-identical across
-repeated runs and worker counts for a fixed config.  Exit code 0 means
-every contract held, 1 flags a contract violation (the report lists the
-failing checks), 2 signals a usage or configuration error.
+repeated runs for a fixed config.  Exit code 0 means every contract
+held, 1 flags a contract violation (the report lists the failing
+checks), 2 signals a usage or configuration error or work beyond the
+eigen-tuple budget.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import parallel
 from .approx import convergence_report, finite_rank_sequence, remainder_sup_experiment, shift_density_convergence
 from .cov import (
     EpsilonSignature,
@@ -37,7 +37,7 @@ from .cov import (
     trace_via_measure,
 )
 from .ensembles import admissible_family, normalized_bump_family, random_hermitian, random_pair, real_rational, rng_stream
-from .errors import ValidationError
+from .errors import BudgetError, ValidationError
 from .functions import PolynomialFunction
 from .linalg import HermitianOperator
 from .moi import OperatorTuple, perturbation_identity, taylor_remainder
@@ -66,7 +66,6 @@ DEFAULT_CONFIG = {
     },
     "ssf": {"h": {"dim": 1, "re": [[0.0]], "im": [[0.0]]}, "v": {"dim": 1, "re": [[1.0]], "im": [[0.0]]}, "orders": [3], "grid_points": 201},
     "approx": {"dim": 4, "h_norm": 2.0, "v_norm": 0.8, "m": 3, "bumps": 10},
-    "chunk_size": 2048,
 }
 
 _PARITIES = {"odd": ("odd",), "even": ("even",), "both": ("odd", "even")}
@@ -85,7 +84,6 @@ class ExperimentConfig:
     tolerances: dict
     ssf: dict
     approx: dict
-    chunk_size: int
 
     def validate(self):
         if self.n not in (2, 3):
@@ -126,7 +124,6 @@ class ExperimentConfig:
             "tolerances": self.tolerances,
             "ssf": self.ssf,
             "approx": self.approx,
-            "chunk_size": self.chunk_size,
         }
 
 
@@ -393,7 +390,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=str, default=None, help="JSON config path (defaults embedded)")
     parser.add_argument("--out", type=str, default="out", help="output directory for reports")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for tuple sums")
+    parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     parser.add_argument("--grid", type=int, default=None, help="CSV sampling resolution for ssf export")
     try:
         args = parser.parse_args(argv)
@@ -405,11 +402,11 @@ def main(argv=None) -> int:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
         return 2
-    parallel.set_worker_count(args.threads)
     try:
         return run(args.command, cfg, Path(args.out), args.grid)
-    finally:
-        parallel.set_worker_count(1)
+    except BudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

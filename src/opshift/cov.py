@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ValidationError
 from .functions import TestFunction, divided_difference, peano_kernel, weight_multiply
 from .linalg import HermitianOperator, schatten_norm
-from .moi import MoiSymbol, OperatorTuple, moi_eval
+from .moi import MoiSymbol, OperatorTuple, eigen_tuples, moi_eval
 from .piecewise import PiecewisePolynomial, integral_against_derivative
 
 __all__ = [
@@ -456,7 +456,9 @@ def eigen_tuple_density(U0, Us, Hs):
 
         Tr(U_0 T_{g^[m]}(U_1..U_m)) = integral of g^(m) * rho.
 
-    Weights are grouped by node multiset before kernels are accumulated.
+    Tuples come from :func:`opshift.moi.eigen_tuples`, which raises
+    ``BudgetError`` before any work on over-budget enumerations.  Weights
+    are grouped by node multiset before kernels are accumulated.
     Returns (density, total_kernel_weight).
     """
     m = len(Us)
@@ -464,57 +466,27 @@ def eigen_tuple_density(U0, Us, Hs):
         raise ValidationError("need m+1 operators")
     mats = [np.asarray(u.entries if isinstance(u, HermitianOperator) else u, dtype=complex) for u in Us]
     u0 = np.asarray(U0.entries if isinstance(U0, HermitianOperator) else U0, dtype=complex)
-    decs = [h.decomposition() for h in Hs]
-    counts = [len(d.eigenvalues) for d in decs]
-
-    # chained blocks C_k[a][b] = P^k_a U_{k+1} P^{k+1}_b and the closing
-    # block D[b][a] = P^m_b U_0 P^0_a so that each tuple weight is one trace
-    blocks = []
-    for k in range(m):
-        pa = decs[k].projections
-        pb = decs[k + 1].projections
-        blocks.append([[pa[a] @ mats[k] @ pb[b] for b in range(counts[k + 1])] for a in range(counts[k])])
-    closing = [[decs[m].projections[b] @ u0 @ decs[0].projections[a] for a in range(counts[0])] for b in range(counts[m])]
+    # Tr(U_0 X) = vdot(U_0^*, X): one tuple weight per call, no matrix product
+    u0_adj = np.ascontiguousarray(u0.conj().T)
 
     weight_by_nodes: dict = {}
-    for idx in itertools.product(*(range(c) for c in counts)):
-        prod = closing[idx[m]][idx[0]]
-        if not np.any(prod):
-            continue
-        ok = True
-        for k in range(m):
-            blk = blocks[k][idx[k]][idx[k + 1]]
-            if not np.any(blk):
-                ok = False
-                break
-            prod = prod @ blk
-        if not ok:
-            continue
-        w = complex(np.trace(prod))
+    for nodes, prod in eigen_tuples(Hs, mats):
+        w = complex(np.vdot(u0_adj, prod))
         if w == 0.0:
             continue
-        nodes = tuple(sorted(float(decs[k].eigenvalues[idx[k]]) for k in range(m + 1)))
-        weight_by_nodes[nodes] = weight_by_nodes.get(nodes, 0.0 + 0.0j) + w
+        key = tuple(sorted(nodes))
+        weight_by_nodes[key] = weight_by_nodes.get(key, 0.0 + 0.0j) + w
 
+    # coincident nodes (always so at m = 0) carry an atom of mass 1/m!
     density = None
     total_weight = 0.0
-    if m == 0:
-        # degenerate order: pure atoms with unit kernels
-        for nodes, w in sorted(weight_by_nodes.items()):
-            contrib = PiecewisePolynomial.atom(nodes[0], w)
-            density = contrib if density is None else density + contrib
-            total_weight += abs(w)
-    else:
-        for nodes, w in sorted(weight_by_nodes.items()):
-            kern = peano_kernel(nodes) if len(set(nodes)) > 1 else PiecewisePolynomial.atom(nodes[0], 1.0 / math.factorial(m))
-            contrib = kern.scaled(w)
-            density = contrib if density is None else density + contrib
-            total_weight += abs(w) / math.factorial(m)
+    for nodes, w in sorted(weight_by_nodes.items()):
+        kern = peano_kernel(nodes) if len(set(nodes)) > 1 else PiecewisePolynomial.atom(nodes[0], 1.0 / math.factorial(m))
+        contrib = kern.scaled(w)
+        density = contrib if density is None else density + contrib
+        total_weight += abs(w) / math.factorial(m)
     if density is None:
-        hull = [float(np.min([d.eigenvalues.min() for d in decs])), float(np.max([d.eigenvalues.max() for d in decs]))]
-        if hull[1] <= hull[0]:
-            hull[1] = hull[0] + 1.0
-        density = PiecewisePolynomial.zero(hull)
+        density = PiecewisePolynomial.zero(_hull(Hs))
     return density, total_weight
 
 
@@ -532,17 +504,13 @@ def trace_via_measure(U0, g: TestFunction, Us, Hs, J=(), alphas=None, n=2) -> Tr
         raise ValidationError("need m+1 operators")
     mats = [np.asarray(u.entries if isinstance(u, HermitianOperator) else u, dtype=complex) for u in Us]
     u0 = np.asarray(U0.entries if isinstance(U0, HermitianOperator) else U0, dtype=complex)
-    decs = [h.decomposition() for h in Hs]
     density, total_weight = eigen_tuple_density(u0, mats, Hs)
     measure = WeightedTraceMeasure(density, m + 2)
-    if m == 0:
-        trace_direct = complex(np.trace(u0 @ _func_on(decs[0], g)))
-    else:
-        core = moi_eval(MoiSymbol(g, 0, m), OperatorTuple(tuple(Hs), tuple(mats)))
-        trace_direct = complex(np.trace(u0 @ core))
+    core = moi_eval(MoiSymbol(g, 0, m), OperatorTuple(tuple(Hs), tuple(mats)))
+    trace_direct = complex(np.trace(u0 @ core))
     integral = measure.integrate_weighted_derivative(g, m)
     residual = abs(trace_direct - integral)
-    scale = 1.0 + abs(trace_direct) + total_weight * max(1.0, g.sup_deriv(m, *_hull(decs)))
+    scale = 1.0 + abs(trace_direct) + total_weight * max(1.0, g.sup_deriv(m, *_hull(Hs)))
     measure_norm = measure.norm()
     if alphas is None:
         alphas = tuple(float(m + 1) for _ in range(m + 1)) if m >= 1 else (1.0,)
@@ -561,16 +529,12 @@ def trace_via_measure(U0, g: TestFunction, Us, Hs, J=(), alphas=None, n=2) -> Tr
     )
 
 
-def _hull(decs):
-    lo = float(min(d.eigenvalues.min() for d in decs))
-    hi = float(max(d.eigenvalues.max() for d in decs))
+def _hull(Hs):
+    lo = float(min(h.decomposition().eigenvalues.min() for h in Hs))
+    hi = float(max(h.decomposition().eigenvalues.max() for h in Hs))
     if hi <= lo:
         hi = lo + 1.0
     return lo, hi
-
-
-def _func_on(dec, g):
-    return dec.apply([complex(g.eval_deriv(0, lam)) for lam in dec.eigenvalues])
 
 
 def expansion_terms_json(expansion: CovExpansion) -> str:

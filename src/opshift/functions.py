@@ -432,28 +432,6 @@ def class_membership(f: TestFunction, n: int, k: int) -> ClassMembership:
 # Peano kernels (B-spline representation of divided differences)
 
 
-def fourier_l1_diagnostic(f: TestFunction, n: int, k: int, window=60.0, samples=2**14):
-    """Numerical estimate of the transform L1 norms of (f u^l)^(m).
-
-    A reporting tool only, never a membership gate: the analytic
-    decision of :func:`class_membership` stands on its own.  For
-    genuine members the estimates stabilize as the window grows; for
-    non-members (slow decay) they drift with the window.  Returns a
-    dict keyed by (l, m).
-    """
-    xs = np.linspace(-window / 2.0, window / 2.0, samples, endpoint=False)
-    dx = xs[1] - xs[0]
-    dxi = 2.0 * math.pi / window
-    out = {}
-    for l in range(k + 1):
-        g = weight_multiply(f, l)
-        for m in range(n + 1):
-            vals = np.asarray(g.eval_deriv(m, xs), dtype=complex)
-            spectrum = np.fft.fft(vals) * dx / (2.0 * math.pi)
-            out[(l, m)] = float(np.sum(np.abs(spectrum)) * dxi)
-    return out
-
-
 def peano_kernel(nodes) -> PiecewisePolynomial:
     """Density K with divided_difference(f, nodes) = integral of f^(p) * K.
 

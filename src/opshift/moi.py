@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import parallel
 from .errors import BudgetError, DomainError, ValidationError
 from .functions import TestFunction, divided_difference, weight_multiply
 from .linalg import HermitianOperator, func_calculus, schatten_norm
@@ -27,6 +26,7 @@ from .linalg import HermitianOperator, func_calculus, schatten_norm
 __all__ = [
     "MoiSymbol",
     "OperatorTuple",
+    "eigen_tuples",
     "moi_eval",
     "moi_eval_separated_rational",
     "frechet_derivative",
@@ -104,66 +104,63 @@ class OperatorTuple:
         return len(self.arguments)
 
 
-def moi_eval(symbol: MoiSymbol, optuple: OperatorTuple, chunk_size=parallel.DEFAULT_CHUNK_SIZE) -> np.ndarray:
+def eigen_tuples(operators, arguments):
+    """Yield (nodes, product) for every eigen-tuple with a nonzero product.
+
+    For operators H_0..H_p with clustered spectral projections P^k_j and
+    arguments A_1..A_p, the product of the tuple (j_0, ..., j_p) is
+    P^0_{j0} A_1 P^1_{j1} ... A_p P^p_{jp} and its nodes are the matching
+    eigenvalues.  Tuples come in lexicographic order, tuples with a common
+    head share its prefix product, and any tuple crossing an exactly zero
+    block P^k_a A_{k+1} P^{k+1}_b is skipped.  The tuple count is checked
+    against ``TUPLE_BUDGET`` before any block is built.
+    """
+    decs = [h.decomposition() for h in operators]
+    n_tuples = math.prod(len(d.eigenvalues) for d in decs)
+    if n_tuples > TUPLE_BUDGET:
+        raise BudgetError(f"{n_tuples} eigenvalue tuples exceed the budget {TUPLE_BUDGET}")
+    eigs = [d.eigenvalues.tolist() for d in decs]
+    p = len(arguments)
+    # blocks[k][a] lists (b, P^k_a A_{k+1} P^{k+1}_b) over the nonzero blocks only
+    blocks = []
+    for k, v in enumerate(arguments):
+        row = []
+        for pa in decs[k].projections:
+            pairs = ((b, pa @ v @ pb) for b, pb in enumerate(decs[k + 1].projections))
+            row.append([(b, blk) for b, blk in pairs if np.any(blk)])
+        blocks.append(row)
+
+    def extend(k, a, nodes, prod):
+        if k == p:
+            yield nodes, prod
+            return
+        for b, blk in blocks[k][a]:
+            yield from extend(k + 1, b, nodes + (eigs[k + 1][b],), blk if prod is None else prod @ blk)
+
+    for a, proj in enumerate(decs[0].projections):
+        yield from extend(0, a, (eigs[0][a],), proj if p == 0 else None)
+
+
+def moi_eval(symbol: MoiSymbol, optuple: OperatorTuple) -> np.ndarray:
     """Exact spectral-sum evaluation of the operator integral.
 
-    Tuples are enumerated lexicographically and combined through the
-    fixed reduction tree of :mod:`opshift.parallel`, so the result does
-    not depend on the worker count.  Symbol values are cached per sorted
-    node tuple (divided differences are symmetric).
+    Terms are summed in the fixed lexicographic order of
+    :func:`eigen_tuples`, so the result is reproducible bit for bit.
+    Symbol values are cached per sorted node tuple (divided differences
+    are symmetric, and the remainder pattern repeats node multisets).
     """
     p = optuple.order
     if symbol.order != p:
         raise ValidationError("symbol order must match the argument count")
-    decs = [h.decomposition() for h in optuple.operators]
-    all_eigs = np.concatenate([d.eigenvalues for d in decs])
+    all_eigs = np.concatenate([h.decomposition().eigenvalues for h in optuple.operators])
     _check_symbol_poles(symbol, all_eigs)
     if p == 0:
         return func_calculus(symbol.weighted, optuple.operators[0])
-    counts = [len(d.eigenvalues) for d in decs]
-    n_tuples = math.prod(counts)
-    if n_tuples > TUPLE_BUDGET:
-        raise BudgetError(f"{n_tuples} eigenvalue tuples exceed the budget {TUPLE_BUDGET}")
-
-    # blocks[k][a][b] = P^k_a V_{k+1} P^{k+1}_b, consecutive blocks chain exactly
-    blocks = []
-    for k in range(p):
-        pa = decs[k].projections
-        pb = decs[k + 1].projections
-        v = optuple.arguments[k]
-        row = [[pa[a] @ v @ pb[b] for b in range(counts[k + 1])] for a in range(counts[k])]
-        blocks.append(row)
-    nonzero = [
-        [[bool(np.any(blocks[k][a][b])) for b in range(counts[k + 1])] for a in range(counts[k])]
-        for k in range(p)
-    ]
-    radices = counts
     cache = {}
-    dim = optuple.dim
-
-    def term_at(flat_index):
-        idx = []
-        rem = flat_index
-        for r in reversed(radices):
-            idx.append(rem % r)
-            rem //= r
-        idx.reverse()
-        for k in range(p):
-            if not nonzero[k][idx[k]][idx[k + 1]]:
-                return _ZERO_CACHE.setdefault(dim, np.zeros((dim, dim), dtype=complex))
-        nodes = tuple(decs[k].eigenvalues[idx[k]] for k in range(p + 1))
-        val = symbol.value(nodes, cache)
-        if val == 0.0:
-            return _ZERO_CACHE.setdefault(dim, np.zeros((dim, dim), dtype=complex))
-        prod = blocks[0][idx[0]][idx[1]]
-        for k in range(1, p):
-            prod = prod @ blocks[k][idx[k]][idx[k + 1]]
-        return val * prod
-
-    return parallel.chunked_sum(term_at, n_tuples, (dim, dim), chunk_size)
-
-
-_ZERO_CACHE: dict = {}
+    out = np.zeros((optuple.dim, optuple.dim), dtype=complex)
+    for nodes, prod in eigen_tuples(optuple.operators, optuple.arguments):
+        out += symbol.value(nodes, cache) * prod
+    return out
 
 
 def _check_symbol_poles(symbol, eigenvalues):

@@ -221,6 +221,14 @@ class ScalingReport:
     slope: float | None
 
 
+def _bound_factor(H, V, n, parity):
+    """(1 + |V|^2) |V|^p |R V R|_n^n with R = (H - i)^(-1), p = n - 1 (odd) or n (even)."""
+    power = n - 1 if parity == "odd" else n
+    rH = H.resolvent()
+    vnorm = V.norm()
+    return (1.0 + vnorm**2) * vnorm**power * schatten_norm(rH @ V.entries @ rH, n) ** n
+
+
 def weight_exponent_survey(pairs, n, parity, head_room=4):
     """Reported (never asserted) tightness probe for the weight exponent.
 
@@ -231,15 +239,11 @@ def weight_exponent_survey(pairs, n, parity, head_room=4):
     reference weight's.
     """
     m, w_ref = _orders_for(n, parity)
-    power = n - 1 if parity == "odd" else n
     weights = list(range(max(1, w_ref - head_room), w_ref + 1))
     worst = {w: 0.0 for w in weights}
     for H, V in pairs:
         eta = ssf_compute(H, V, m, "bspline")
-        rH = H.resolvent()
-        dressed = schatten_norm(rH @ V.entries @ rH, n)
-        vnorm = V.norm()
-        rhs = (1.0 + vnorm**2) * vnorm**power * dressed**n
+        rhs = _bound_factor(H, V, n, parity)
         if rhs == 0.0:
             continue
         for w in weights:
@@ -257,13 +261,11 @@ def weighted_norm_and_scaling(H, V, n, parity, t_count=9) -> ScalingReport:
     """Weighted L1 norm of eta_m, the bound's right-hand factor, and the
     fitted log-log slope of the norm under V -> tV, t = 1, 1/2, ..., 2^-8."""
     m, w = _orders_for(n, parity)
-    power = n - 1 if parity == "odd" else n
+    if t_count < 2:
+        raise ValidationError("the scaling slope needs t_count >= 2")
     eta = ssf_compute(H, V, m, "bspline")
     weighted = weighted_abs_integral(eta.density, w)
-    rH = H.resolvent()
-    dressed = schatten_norm(rH @ V.entries @ rH, n)
-    vnorm = V.norm()
-    rhs = (1.0 + vnorm**2) * vnorm**power * dressed**n
+    rhs = _bound_factor(H, V, n, parity)
     ts = [2.0 ** (-j) for j in range(t_count)]
     values = []
     for t in ts:
@@ -467,9 +469,10 @@ def measure_weight_shift(mu: DiscreteMeasure, n: int, m: int, k: int, epsilon: f
 
         integral g^(n) u^m dmu = integral g^(n+k) u^(m+k+eps) * density,
 
-    with density = (-1)^k u^(-m-k-eps) xi_k, by adaptive quadrature of
-    the right-hand side.  Also checks the total-variation bound of the
-    shifted measure against the closed-form norm of u^(-1-eps).
+    with density = (-1)^k u^(-m-k-eps) xi_k.  The weights cancel, so the
+    right-hand side is the closed-form integral of (-1)^k g^(n+k) xi_k.
+    Also checks the total-variation bound of the shifted measure against
+    the closed-form norm of u^(-1-eps).
     """
     if not (0.0 < epsilon <= 1.0):
         raise ValidationError("epsilon must lie in (0, 1]")
@@ -493,17 +496,10 @@ def measure_weight_shift(mu: DiscreteMeasure, n: int, m: int, k: int, epsilon: f
         xi = xi.antiderivative(0.0)
 
     power = m + k + epsilon
-    residuals = []
-    for g, lhs in zip(test_family, lhs_vals):
-        def rhs_integrand(x, g=g):
-            u = x - 1j
-            density = (-1.0) ** k * u ** (-power) * xi(x)
-            return g.eval_deriv(n + k, x) * u ** power * density
-
-        rhs = _piecewise_quad(rhs_integrand, xi.breakpoints)
-        residuals.append(abs(lhs - rhs))
-
-    norm_tilde = _piecewise_quad(lambda x: abs(xi(x)) * (1.0 + x * x) ** (-power / 2.0), xi.breakpoints, real=True)
+    residuals = [
+        abs(lhs - (-1.0) ** k * integral_against_derivative(g, n + k, xi)) for g, lhs in zip(test_family, lhs_vals)
+    ]
+    norm_tilde = _piecewise_quad(lambda x: abs(xi(x)) * (1.0 + x * x) ** (-power / 2.0), xi.breakpoints)
     bound = _u_l1_norm(epsilon) * mu.total_variation()
     return WeightShiftReport(
         xi,
@@ -511,25 +507,16 @@ def measure_weight_shift(mu: DiscreteMeasure, n: int, m: int, k: int, epsilon: f
         m,
         float(epsilon),
         tuple(residuals),
-        float(np.real(norm_tilde)),
+        float(norm_tilde),
         float(bound),
-        bool(np.real(norm_tilde) <= bound + 1e-12 * (1.0 + bound)),
+        bool(norm_tilde <= bound + 1e-12 * (1.0 + bound)),
     )
 
 
-def _piecewise_quad(func, breakpoints, real=False):
+def _piecewise_quad(func, breakpoints):
+    """Adaptive quadrature of a real integrand over the line, split at the breakpoints."""
     pts = [-np.inf] + [float(b) for b in breakpoints] + [np.inf]
-    total = 0.0 + 0.0j
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        if hi <= lo:
-            continue
-        re, _ = quad(lambda x: np.real(func(x)), lo, hi, limit=300)
-        if real:
-            total += re
-        else:
-            im, _ = quad(lambda x: np.imag(func(x)), lo, hi, limit=300)
-            total += re + 1j * im
-    return np.real(total) if real else total
+    return sum(quad(func, lo, hi, limit=300)[0] for lo, hi in zip(pts[:-1], pts[1:]) if hi > lo)
 
 
 # ---------------------------------------------------------------------------
@@ -587,12 +574,8 @@ def rp_term_measures(H, V, n, parity, family) -> dict:
             density = dens_i if density is None else density + dens_i
             for fi, f in enumerate(family):
                 g = weight_multiply(f, weight[p])
-                if p == 0:
-                    val = complex(np.trace(u0 @ _func_matrix(inner_ops[0], g)))
-                else:
-                    core = moi_eval(MoiSymbol(g, 0, p), OperatorTuple(tuple(inner_ops), tuple(inner_args)))
-                    val = complex(np.trace(u0 @ core))
-                per_p_traces[p][fi] += val
+                core = moi_eval(MoiSymbol(g, 0, p), OperatorTuple(tuple(inner_ops), tuple(inner_args)))
+                per_p_traces[p][fi] += complex(np.trace(u0 @ core))
         measure = WeightedTraceMeasure(density, p + 2)
         residuals = []
         for fi, f in enumerate(family):
@@ -615,8 +598,3 @@ def _increasing_tuples(m, length):
     import itertools
 
     return itertools.combinations(range(m + 1), length)
-
-
-def _func_matrix(Hop, g):
-    dec = Hop.decomposition()
-    return dec.apply([complex(g.eval_deriv(0, lam)) for lam in dec.eigenvalues])

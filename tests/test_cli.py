@@ -36,6 +36,17 @@ class TestConfig:
     def test_unknown_command_exit_2(self, tmp_path):
         assert run_cli(["frobnicate", "--out", str(tmp_path / "o")]) == 2
 
+    def test_retired_chunk_size_key_exit_2(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"chunk_size": 2048}))
+        assert run_cli(["ssf", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+
+    def test_over_budget_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"dims": [16], "n": 3}))
+        assert run_cli(["trace-formula", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "exceed the budget" in capsys.readouterr().err
+
 
 class TestSuites:
     def test_verify_identities_passes(self, tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from opshift import parallel
 from opshift.errors import BudgetError, DomainError, ValidationError
 from opshift.ensembles import random_hermitian, random_pair, rng_stream
 from opshift.functions import GaussianFunction, PolynomialFunction, rational_from_poles
@@ -121,20 +120,6 @@ class TestMoiEval:
             ratios.append(schatten_norm(out, 2.0) / denom)
         assert all(np.isfinite(r) for r in ratios)
         assert max(ratios) < 1e3
-
-    def test_worker_count_does_not_change_bits(self):
-        H, V = random_pair(rng_stream(7, 0), 4, 1.0, 0.7)
-        f = rational_from_poles([2j, -1 - 1.5j])
-        ref = None
-        for workers in (1, 2, 8):
-            parallel.set_worker_count(workers)
-            try:
-                out = taylor_remainder(f, H, V, 3, "moi").tobytes()
-            finally:
-                parallel.set_worker_count(1)
-            if ref is None:
-                ref = out
-            assert out == ref
 
 
 class TestFrechetDerivative:

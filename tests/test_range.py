@@ -1,0 +1,73 @@
+"""Range checks against the benchmark's independent oracles.
+
+``bench/oracles.py`` evaluates remainders and their traces through
+resolvent products on plain numpy arrays, sharing no evaluator with
+``opshift``; it is loaded from its file so the reference stays a single
+copy.  Every comparison uses the benchmark's relative tolerance, on
+input classes the benchmark records as accurate.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from opshift import cov
+from opshift.errors import BudgetError
+from opshift.functions import rational_from_poles
+from opshift.linalg import HermitianOperator
+from opshift.moi import taylor_remainder
+from opshift.ssf import ssf_compute
+
+_spec = importlib.util.spec_from_file_location("oracles", Path(__file__).resolve().parents[1] / "bench" / "oracles.py")
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
+
+TOLERANCE = 1e-8
+
+
+def _instance(seed, d, vnorm):
+    rng = np.random.default_rng(seed)
+
+    def hermitian(norm):
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = 0.5 * (a + a.conj().T)
+        return h * (norm / np.linalg.norm(h, 2))
+
+    h, v = hermitian(1.0), hermitian(vnorm)
+    a, b = rng.uniform(-1.0, 1.0), rng.uniform(0.6, 1.5)
+    return HermitianOperator(h), HermitianOperator(v), (complex(a, b), complex(a, -b))
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("d", [3, 5])
+def test_moi_remainder_matches_resolvent_oracle(m, d):
+    H, V, poles = _instance([1, m, d], d, 0.1)
+    out = taylor_remainder(rational_from_poles(poles), H, V, m, method="moi")
+    ref = oracles.rational_remainder(poles, H.entries, V.entries, m)
+    assert oracles.relative_error(out, ref) <= TOLERANCE
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3])
+def test_shift_density_trace_matches_resolvent_oracle(m, d):
+    H, V, poles = _instance([2, m, d], d, 0.5)
+    integral = ssf_compute(H, V, m).integrate_against(rational_from_poles(poles))
+    ref, scale = oracles.rational_remainder_trace(poles, H.entries, V.entries, m)
+    assert scale > 0.0
+    assert abs(integral - ref) / scale <= TOLERANCE
+
+
+def test_over_budget_density_enumerates_no_tuple(monkeypatch):
+    eigen_tuples = cov.eigen_tuples
+
+    def guarded(operators, arguments):
+        for item in eigen_tuples(operators, arguments):
+            pytest.fail("an over-budget enumeration yielded a tuple")
+            yield item
+
+    monkeypatch.setattr(cov, "eigen_tuples", guarded)
+    H, V, _ = _instance([3], 16, 0.5)
+    with pytest.raises(BudgetError):
+        ssf_compute(H, V, 6)

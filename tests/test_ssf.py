@@ -160,6 +160,11 @@ class TestWeightedNormAndScaling:
         assert rep.weighted_l1 == pytest.approx(0.0, abs=1e-14)
         assert rep.slope is None
 
+    def test_single_scale_rejected(self):
+        H, V = random_pair(rng_stream(60, 0), 2, 1.0, 0.3)
+        with pytest.raises(ValidationError):
+            weighted_norm_and_scaling(H, V, 2, "odd", t_count=1)
+
     def test_scalar_exact_scaling(self):
         # 1x1: weighted norm = t^m * C(t) with C -> 1/((m-1)! * m) as t -> 0,
         # so small-t secant slopes approach m
