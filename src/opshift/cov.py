@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from .errors import ValidationError
-from .functions import TestFunction, divided_difference, peano_kernel, weight_multiply
+# peano_kernel is the reference the kernel fold reproduces; the bench tracer
+# (bench/tracing.py) patches it at this import site
+from .functions import TestFunction, _merge_nodes, divided_difference, peano_kernel, weight_multiply  # noqa: F401
 from .linalg import HermitianOperator, schatten_norm
 from .moi import MoiSymbol, OperatorTuple, eigen_tuples, moi_eval
 from .piecewise import PiecewisePolynomial, integral_against_derivative
@@ -458,7 +460,8 @@ def eigen_tuple_density(U0, Us, Hs):
 
     Tuples come from :func:`opshift.moi.eigen_tuples`, which raises
     ``BudgetError`` before any work on over-budget enumerations.  Weights
-    are grouped by node multiset before kernels are accumulated.
+    are grouped by node multiset, and the kernels of all multisets are
+    folded in one array pass (:func:`_fold_kernels`).
     Returns (density, total_kernel_weight).
     """
     m = len(Us)
@@ -477,17 +480,77 @@ def eigen_tuple_density(U0, Us, Hs):
         key = tuple(sorted(nodes))
         weight_by_nodes[key] = weight_by_nodes.get(key, 0.0 + 0.0j) + w
 
-    # coincident nodes (always so at m = 0) carry an atom of mass 1/m!
-    density = None
+    return _fold_kernels(weight_by_nodes, m, _hull(Hs))
+
+
+# elements per Cox-de Boor level array: _fold_kernels takes the kernels in
+# chunks, so its memory stays near 8 bytes * 2**18 = 2 MB per array
+_FOLD_CHUNK = 2**18
+
+
+def _fold_kernels(weight_by_nodes, m, hull):
+    """Sum of w * peano_kernel(nodes) over weight_by_nodes, in one array pass.
+
+    Every kernel is written on the global grid (the union of all merged
+    knots and atom points) in each interval's midpoint variable, so the
+    Cox-de Boor recursion runs on coefficient arrays of shape (kernels,
+    splines, intervals, degree+1) and the weighted sum is one contraction.
+    Node multisets that merge to a single point are atoms of mass w/m!.
+    Returns (density, total_kernel_weight).
+    """
+    fact = math.factorial(m)
+    atoms: dict = {}
+    knots, weights = [], []
     total_weight = 0.0
     for nodes, w in sorted(weight_by_nodes.items()):
-        kern = peano_kernel(nodes) if len(set(nodes)) > 1 else PiecewisePolynomial.atom(nodes[0], 1.0 / math.factorial(m))
-        contrib = kern.scaled(w)
-        density = contrib if density is None else density + contrib
-        total_weight += abs(w) / math.factorial(m)
-    if density is None:
-        density = PiecewisePolynomial.zero(_hull(Hs))
-    return density, total_weight
+        zs = _merge_nodes(nodes)
+        if zs[0] == zs[-1]:
+            atoms[zs[0]] = atoms.get(zs[0], 0.0) + w / fact
+        else:
+            knots.append(zs)
+            weights.append(w)
+        total_weight += abs(w) / fact
+    if not weight_by_nodes:
+        return PiecewisePolynomial.zero(hull), total_weight
+    knots = np.array(knots, dtype=float).reshape(len(knots), m + 1)
+    weights = np.array(weights, dtype=complex)
+    grid = np.union1d(knots.ravel(), list(atoms))
+    lo, mid = grid[:-1], 0.5 * (grid[:-1] + grid[1:])
+    coeffs = np.zeros((len(mid), max(m, 1)), dtype=complex)
+    step = max(1, _FOLD_CHUNK // max(1, m * len(mid) * m))
+    for start in range(0, len(knots), step):
+        z = knots[start : start + step]
+        coeffs += np.einsum("k,kjd->jd", weights[start : start + step], _bspline_levels(z, lo, mid))
+    return PiecewisePolynomial(grid, tuple(coeffs), tuple(sorted(atoms.items()))), total_weight
+
+
+def _bspline_levels(z, lo, mid):
+    """Peano kernels of the knot rows z (shape (kernels, p+1)) on the grid
+    intervals [lo_j, lo_{j+1}): shape (kernels, intervals, p), ascending
+    coefficients in x - mid_j.  Each level multiplies by the linear
+    factors (x - z_i)/(z_{i+k} - z_i) and (z_{i+k+1} - x)/(z_{i+k+1} - z_{i+1})
+    of ``functions._bspline_kernel``; empty knot spans contribute nothing."""
+    p = z.shape[1] - 1
+    # level 0: indicators of [z_i, z_{i+1}), which are unions of grid intervals
+    level = ((z[:, :-1, None] <= lo) & (lo < z[:, 1:, None]))[..., None].astype(float)
+
+    def times_linear(c, a, b):
+        # c * (a + b s) in the midpoint variable s = x - mid
+        out = np.zeros(c.shape[:-1] + (c.shape[-1] + 1,))
+        out[..., :-1] = c * a[..., None]
+        out[..., 1:] += b * c
+        return out
+
+    def inverse_span(span):
+        return np.divide(1.0, span, out=np.zeros_like(span), where=span > 0)[..., None, None]
+
+    for k in range(1, p):
+        inv_l = inverse_span(z[:, k:p] - z[:, : p - k])
+        inv_r = inverse_span(z[:, k + 1 :] - z[:, 1 : p - k + 1])
+        left = times_linear(level[:, :-1], mid - z[:, : p - k, None], 1.0)
+        right = times_linear(level[:, 1:], z[:, k + 1 :, None] - mid, -1.0)
+        level = left * inv_l + right * inv_r
+    return level[:, 0] / ((z[:, -1] - z[:, 0]) * math.factorial(p - 1))[:, None, None]
 
 
 def trace_via_measure(U0, g: TestFunction, Us, Hs, J=(), alphas=None, n=2) -> TraceMeasureReport:

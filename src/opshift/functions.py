@@ -77,9 +77,6 @@ class TestFunction:
     def poles(self):
         return ()
 
-    def is_real_valued(self):
-        return False
-
     def sup_deriv(self, order, lo=None, hi=None, n_grid=4001):
         """Grid estimate of sup |f^(order)| on [lo, hi] (or the support)."""
         if lo is None or hi is None:
@@ -161,11 +158,6 @@ class RationalFunction(TestFunction):
             out = out._times_factor(z, m)
         return RationalFunction(out.factors, out.scale * other.scale, self.weight_power + other.weight_power)
 
-    def is_real_valued(self):
-        fac = dict(self.factors)
-        conj = {complex(z).conjugate(): m for z, m in self.factors}
-        return fac == {complex(z): m for z, m in conj.items()} and complex(self.scale).imag == 0.0
-
 
 def rational_from_poles(poles, scale=1.0):
     """Product of simple reciprocal factors prod (x - z)^(-1)."""
@@ -209,9 +201,6 @@ class GaussianFunction(TestFunction):
             # u(x) = (x - center) + (center - i) in the local variable
             q = _polymul(q, [self.center - 1j, 1.0])
         return GaussianFunction(self.center, self.width, tuple(q), self.weight_power + power)
-
-    def is_real_valued(self):
-        return all(abs(complex(c).imag) == 0.0 for c in self.prefactor)
 
 
 @dataclass(frozen=True)
@@ -269,9 +258,6 @@ class BumpFunction(TestFunction):
             q = _polymul(q, [mid - 1j, 1.0])
         return BumpFunction(self.a, self.b, self.smoothness, tuple(q), self.weight_power + power)
 
-    def is_real_valued(self):
-        return all(abs(complex(c).imag) == 0.0 for c in self.prefactor)
-
 
 def bump(a, b, smoothness=4, prefactor=None):
     """Bump on (a, b) scaled so that the value at the midpoint is prefactor(mid)."""
@@ -313,9 +299,6 @@ class PolynomialFunction(TestFunction):
             c = _polymul(c, [-1j, 1.0])
         return PolynomialFunction(tuple(c), self.weight_power + power)
 
-    def is_real_valued(self):
-        return all(abs(complex(c).imag) == 0.0 for c in self.coefficients)
-
 
 def weight_multiply(f: TestFunction, power: int) -> TestFunction:
     """Multiply f by u^power, u(x) = x - i, tracking the weight bookkeeping."""
@@ -343,7 +326,9 @@ def _merge_nodes(nodes):
             groups.append([v])
     merged = []
     for g in groups:
-        rep = sum(g) / len(g)
+        # a mean of equal values can land an ulp off them, which would cut
+        # a sliver interval between this node and its unmerged copies
+        rep = g[0] if g[0] == g[-1] else sum(g) / len(g)
         merged.extend([rep] * len(g))
     return merged
 
@@ -354,6 +339,8 @@ def divided_difference(f: TestFunction, nodes) -> complex:
     if len(nodes) == 0:
         raise ValidationError("need at least one node")
     zs = _merge_nodes(nodes)
+    if isinstance(f, RationalFunction):
+        return _rational_divided_difference(f, zs)
     p = len(zs) - 1
     # a confluent group of size g needs derivative order g-1, which only
     # fails where global smoothness is finite and the node hits a kink
@@ -384,6 +371,27 @@ def divided_difference(f: TestFunction, nodes) -> complex:
                 row.append((table[j - 1][i + 1] - table[j - 1][i]) / (zs[i + j] - zs[i]))
         table.append(row)
     return table[p][0]
+
+
+def _rational_divided_difference(f: RationalFunction, zs):
+    """f[zs] as the last entry of the first row of f(J), where J is the
+    bidiagonal matrix with the nodes on its diagonal and ones above it
+    (Opitz).  Each factor (x - z)^(-m) is one bidiagonal solve or product
+    per unit of |m|, with pivots x_k - z off the real axis; nothing divides
+    by a node gap, so close nodes lose no digits to cancellation."""
+    row = np.zeros(len(zs), dtype=complex)
+    row[0] = f.scale
+    for z, m in f.factors:
+        d = np.asarray(zs, dtype=float) - complex(z)
+        for _ in range(abs(m)):
+            if m > 0:  # row <- row (J - z)^-1
+                row[0] /= d[0]
+                for k in range(1, len(zs)):
+                    row[k] = (row[k] - row[k - 1]) / d[k]
+            else:  # row <- row (J - z)
+                row[1:] = row[1:] * d[1:] + row[:-1]
+                row[0] *= d[0]
+    return complex(row[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -232,10 +232,6 @@ class SchattenIndex:
         if not (self.p >= 1.0):
             raise ValidationError("Schatten exponent must satisfy p >= 1")
 
-    @property
-    def is_operator_norm(self):
-        return np.isinf(self.p)
-
 
 def schatten_norm(A, p) -> float:
     """(sum sigma_i^p)^(1/p) of the singular values; p = inf gives the largest."""

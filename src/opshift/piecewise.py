@@ -151,10 +151,6 @@ class PiecewisePolynomial:
 
     # -- basic queries ------------------------------------------------
 
-    @property
-    def has_tails(self):
-        return self.left_tail is not None or self.right_tail is not None
-
     def support(self):
         return float(self.breakpoints[0]), float(self.breakpoints[-1])
 

@@ -220,6 +220,15 @@ class ScalingReport:
     scales: tuple  # (t, weighted_l1(tV)) pairs
     slope: float | None
 
+    def small_t_slope(self):
+        """Log-log slope over the five smallest scales (t <= 2^-4 for the
+        default nine), which fixes the order of the norm as t -> 0; the
+        bound says nothing about larger t.  None if a norm vanishes."""
+        ts, values = zip(*sorted(self.scales)[:5])
+        if not all(v > 0 for v in values):
+            return None
+        return float(np.polyfit(np.log(ts), np.log(values), 1)[0])
+
 
 def _bound_factor(H, V, n, parity):
     """(1 + |V|^2) |V|^p |R V R|_n^n with R = (H - i)^(-1), p = n - 1 (odd) or n (even)."""
@@ -445,14 +454,6 @@ class WeightShiftReport:
     mu_tilde_norm: float
     bound_value: float
     bound_holds: bool
-
-    def density_value(self, x):
-        """Value of the shifted density (-1)^k u^(-m-k-eps) xi_k at x."""
-        if self.xi is None:
-            raise ValidationError("k = 0 keeps the measure discrete")
-        u = np.asarray(x, dtype=complex) - 1j
-        power = -(self.base_power + self.k + self.epsilon)
-        return (-1.0) ** self.k * u**power * self.xi(np.asarray(x, dtype=float))
 
 
 def _u_l1_norm(epsilon):

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
+import pytest
 
+from opshift import cli
 from opshift.cli import ExperimentConfig, main
 from opshift.piecewise import PiecewisePolynomial
 
@@ -91,6 +94,33 @@ class TestSuites:
         rows = (out / "convergence.csv").read_text().splitlines()
         assert rows[0] == "k,window,rank,schatten_defect,resolvent_defect,remainder_sup"
         assert len(rows) > 2
+
+
+class TestScalingOrder:
+    # the full-range fit over t = 1..2^-8 gives 2.81 < 2.9 on these seeds
+    # although every weighted norm is right; the order fit over t <= 2^-4
+    # is what the bound fixes as t -> 0
+    @pytest.mark.parametrize("seed", [1879593924, 131701965])
+    def test_bounds_passes_on_seeds_with_a_flat_start(self, tmp_path, seed):
+        out = tmp_path / "out"
+        assert run_cli(["bounds", "--out", str(out), "--seed", str(seed)]) == 0
+        checks = {c["id"]: c for c in json.loads((out / "report.json").read_text())["suites"]["bounds"]["checks"]}
+        assert checks["ssf.scaling_order_odd"]["pass"] and checks["ssf.scaling_order_even"]["pass"]
+
+    @pytest.mark.parametrize("parity, offset", [("even", 1e-12), ("odd", 1e-10)])
+    def test_order_check_fails_on_a_norm_floor(self, tmp_path, monkeypatch, parity, offset):
+        # a constant added to every weighted norm flattens the small-t order
+        exact = cli.weighted_norm_and_scaling
+
+        def floored(*args, **kwargs):
+            rep = exact(*args, **kwargs)
+            return dataclasses.replace(rep, scales=tuple((t, v + offset) for t, v in rep.scales))
+
+        monkeypatch.setattr(cli, "weighted_norm_and_scaling", floored)
+        out = tmp_path / "out"
+        assert run_cli(["bounds", "--out", str(out)]) == 1
+        checks = {c["id"]: c for c in json.loads((out / "report.json").read_text())["suites"]["bounds"]["checks"]}
+        assert not checks[f"ssf.scaling_order_{parity}"]["pass"]
 
 
 class TestDeterminism:

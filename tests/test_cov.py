@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from opshift import cov
 from opshift.cov import (
     EpsilonSignature,
     alternating_signature,
@@ -13,6 +14,7 @@ from opshift.cov import (
     corollary_expand,
     cov_expand,
     cov_scalar_identity,
+    eigen_tuple_density,
     expansion_terms_json,
     pJ_alpha,
     signature_for_J,
@@ -20,8 +22,9 @@ from opshift.cov import (
 )
 from opshift.ensembles import random_hermitian, rng_stream
 from opshift.errors import ValidationError
-from opshift.functions import GaussianFunction, PolynomialFunction, rational_from_poles
+from opshift.functions import GaussianFunction, PolynomialFunction, peano_kernel, rational_from_poles
 from opshift.linalg import HermitianOperator, schatten_norm
+from opshift.moi import eigen_tuples
 
 
 def random_signature(rng, m):
@@ -350,3 +353,101 @@ class TestTraceViaMeasure:
         rep = trace_via_measure(np.eye(3), g, Us, [H, Hmid, H])
         assert rep.residual <= 1e-10 * rep.scale
         assert np.isfinite(rep.ratio)
+
+
+def _kernel_sum(weight_by_nodes):
+    """Reference fold: sum of w * peano_kernel(nodes), one __add__ per key."""
+    density = None
+    for nodes, w in sorted(weight_by_nodes.items()):
+        kern = peano_kernel(nodes).scaled(w)
+        density = kern if density is None else density + kern
+    return density
+
+
+def _tuple_weights(U0, Us, Hs):
+    weights = {}
+    for nodes, prod in eigen_tuples(Hs, Us):
+        key = tuple(sorted(nodes))
+        weights[key] = weights.get(key, 0.0) + complex(np.trace(U0 @ prod))
+    return weights
+
+
+def _fold_error(got, ref):
+    """Largest pointwise difference inside the intervals and on the atoms,
+    relative to the reference's largest value or atom mass."""
+    assert np.array_equal(got.breakpoints, ref.breakpoints)
+    assert [x for x, _ in got.atoms] == [x for x, _ in ref.atoms]
+    bp = ref.breakpoints
+    xs = np.concatenate([bp[:-1] + f * np.diff(bp) for f in (0.1, 0.5, 0.9)])
+    masses = [abs(w) for _, w in ref.atoms]
+    scale = max([float(np.max(np.abs(ref(xs)))) if len(xs) else 0.0] + masses)
+    diffs = [abs(a - b) for (_, a), (_, b) in zip(got.atoms, ref.atoms)]
+    if len(xs):
+        diffs.append(float(np.max(np.abs(got(xs) - ref(xs)))))
+    return max(diffs) / scale
+
+
+def _spectral(rng, eigenvalues):
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues),) * 2) + 1j * rng.standard_normal((len(eigenvalues),) * 2))
+    return HermitianOperator(q @ np.diag(eigenvalues) @ q.conj().T)
+
+
+class TestKernelFold:
+    """The one-pass fold against the sum of individual Peano kernels."""
+
+    def test_repeated_knots_and_atom_keys(self):
+        weights = {
+            (0.0, 0.0, 1.0, 2.0): 0.7 - 0.2j,
+            (0.0, 1.0, 1.0, 1.0): -1.3,
+            (-0.5, 0.0, 0.0, 2.0): 0.4j,
+            (0.25, 0.25, 0.25, 0.25): 2.0,  # an atom of mass w/3!
+            (3.0, 3.0, 3.0, 3.0): -0.5,  # an atom off every kernel's support
+            (-1.0, 0.0, 1.0, 2.0): 1.1,
+        }
+        density, total = cov._fold_kernels(weights, 3, (0.0, 1.0))
+        assert _fold_error(density, _kernel_sum(weights)) <= 1e-14
+        assert dict(density.atoms)[0.25] == pytest.approx(2.0 / 6.0)
+        assert total == pytest.approx(sum(abs(w) for w in weights.values()) / 6.0)
+
+    def test_no_weight_gives_zero_density_on_the_hull(self):
+        density, total = cov._fold_kernels({}, 3, (-1.0, 2.0))
+        assert total == 0.0 and density.support() == (-1.0, 2.0)
+        assert np.all(density(np.linspace(-1.0, 2.0, 7)) == 0.0)
+
+    @pytest.mark.parametrize("d, m", [(8, 2), (5, 3), (3, 5), (2, 6), (3, 6)])
+    def test_remainder_pattern(self, d, m):
+        H, V = random_hermitian(rng_stream(70 + d, m), d, 1.0), random_hermitian(rng_stream(80 + d, m), d, 0.5)
+        Hs, Us = [H, H + V] + [H] * (m - 1), [V.entries] * m
+        density, _ = eigen_tuple_density(np.eye(d), Us, Hs)
+        assert _fold_error(density, _kernel_sum(_tuple_weights(np.eye(d), Us, Hs))) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "eigenvalues, m",
+        [
+            # gaps of 1e-9 (one eigenvalue cluster), 1e-8 (merged nodes), 1e-7 and 1e-6
+            ([-0.6, -0.6 + 1e-9, 0.1, 0.1 + 1e-8, 0.4, 0.4 + 1e-7, 0.8 + 1e-6, 0.8], 3),
+            ([-0.6, -0.6 + 1e-9, 0.1 + 1e-8, 0.1, 0.4 + 1e-6], 4),
+        ],
+    )
+    def test_clustered_spectrum(self, eigenvalues, m):
+        rng = rng_stream(90, m)
+        d = len(eigenvalues)
+        H, V = _spectral(rng, eigenvalues), random_hermitian(rng, d, 1e-3)
+        Hs, Us = [H, H + V] + [H] * (m - 1), [V.entries] * m
+        density, _ = eigen_tuple_density(np.eye(d), Us, Hs)
+        assert _fold_error(density, _kernel_sum(_tuple_weights(np.eye(d), Us, Hs))) <= 1e-14
+
+    def test_general_closing_operator(self):
+        # U0 != I and distinct H_k, as trace_via_measure passes them
+        Hs, Us = ops_and_args(91, 3, 3)
+        U0 = random_hermitian(rng_stream(91, 1), 3, 1.0).entries + 0.5j * np.eye(3)
+        density, _ = eigen_tuple_density(U0, Us, Hs)
+        assert _fold_error(density, _kernel_sum(_tuple_weights(U0, Us, Hs))) <= 1e-14
+
+    def test_chunked_fold_matches_one_pass(self, monkeypatch):
+        H, V = random_hermitian(rng_stream(92, 0), 4, 1.0), random_hermitian(rng_stream(92, 1), 4, 0.5)
+        Hs, Us = [H, H + V, H, H], [V.entries] * 3
+        whole, _ = eigen_tuple_density(np.eye(4), Us, Hs)
+        monkeypatch.setattr(cov, "_FOLD_CHUNK", 1)  # one kernel per chunk
+        chunked, _ = eigen_tuple_density(np.eye(4), Us, Hs)
+        assert _fold_error(chunked, whole) <= 1e-14

@@ -59,6 +59,16 @@ def test_shift_density_trace_matches_resolvent_oracle(m, d):
     assert abs(integral - ref) / scale <= TOLERANCE
 
 
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("m, d", [(3, 5), (5, 3)])
+def test_shift_density_trace_over_seeds(m, d, seed):
+    # the classes where a sample-and-refit density broke on sliver intervals
+    H, V, poles = _instance([4, m, d, seed], d, 0.5)
+    integral = ssf_compute(H, V, m).integrate_against(rational_from_poles(poles))
+    ref, scale = oracles.rational_remainder_trace(poles, H.entries, V.entries, m)
+    assert abs(integral - ref) / scale <= TOLERANCE
+
+
 def test_over_budget_density_enumerates_no_tuple(monkeypatch):
     eigen_tuples = cov.eigen_tuples
 

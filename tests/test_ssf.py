@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from opshift.ensembles import admissible_family, random_hermitian, random_pair, real_rational, rng_stream
 from opshift.errors import ValidationError
-from opshift.functions import GaussianFunction, PolynomialFunction, bump, rational_from_poles
+from opshift.functions import NODE_MERGE_RELTOL, GaussianFunction, PolynomialFunction, bump, rational_from_poles
 from opshift.linalg import HermitianOperator
 from opshift.moi import taylor_remainder
 from opshift.piecewise import DiscreteMeasure
@@ -88,6 +88,15 @@ class TestSsfCompute:
         V = HermitianOperator(np.diag([0.0, 3.0]))
         eta = ssf_compute(H, V, 3)
         assert eta.density.atomic_mass() <= 1e-14
+
+    def test_breakpoints_have_no_sliver_interval(self):
+        # repeated nodes keep their value when merged, so no interval is
+        # narrower than the merge tolerance
+        for seed in range(4):
+            H, V = random_pair(rng_stream(55 + seed, 0), 3, 1.0, 0.5)
+            for m in (3, 4):
+                bp = ssf_compute(H, V, m).density.breakpoints
+                assert np.min(np.diff(bp)) > NODE_MERGE_RELTOL * (1.0 + bp[-1] - bp[0])
 
     def test_counting_validation(self):
         H, V = random_pair(rng_stream(53, 0), 2, 1.0, 0.5)
