@@ -34,6 +34,7 @@ from .cov import (
     corollary_expand,
     cov_expand,
     cov_scalar_identity,
+    kernel_sum_density,
     trace_via_measure,
 )
 from .ensembles import admissible_family, normalized_bump_family, random_hermitian, random_pair, real_rational, rng_stream
@@ -41,7 +42,7 @@ from .errors import BudgetError, ValidationError
 from .functions import PolynomialFunction
 from .linalg import HermitianOperator
 from .moi import OperatorTuple, perturbation_identity, taylor_remainder
-from .ssf import ssf_compute, verify_trace_formula, weight_exponent_survey, weighted_norm_and_scaling
+from .ssf import remainder_pattern, ssf_compute, verify_trace_formula, weight_exponent_survey, weighted_norm_and_scaling
 
 DEFAULT_CONFIG = {
     "seed": 42,
@@ -231,6 +232,10 @@ def suite_ssf(cfg: ExperimentConfig, out_dir: Path, grid_override=None):
         eta = ssf_compute(H, V, int(m), "bspline")
         _check(checks, f"ssf.imag_residue.m{m}", "construction is real-valued", eta.imag_residue, tol["imag_residue"] * eta.scale)
         _check(checks, f"ssf.atom_mass.m{m}", "density carries no atomic mass", eta.density.atomic_mass(), tol["atom_mass"])
+        ops, args = remainder_pattern(H, V, int(m))
+        reference, _ = kernel_sum_density(np.eye(H.dim), list(args), list(ops))
+        gap = (eta.density - reference.real_part()).coefficient_scale()
+        _check(checks, f"ssf.kernel_fold.m{m}", "array fold equals the sum of its Peano kernels", gap, tol["identity"] * eta.scale)
         payload = eta.density.to_json_dict()
         payload["order"] = int(m)
         (out_dir / f"eta_{m}.json").write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from .errors import ValidationError
-# peano_kernel is the reference the kernel fold reproduces; the bench tracer
-# (bench/tracing.py) patches it at this import site
-from .functions import TestFunction, _merge_nodes, divided_difference, peano_kernel, weight_multiply  # noqa: F401
+from .functions import TestFunction, _merge_nodes, divided_difference, peano_kernel, weight_multiply
 from .linalg import HermitianOperator, schatten_norm
 from .moi import MoiSymbol, OperatorTuple, eigen_tuples, moi_eval
 from .piecewise import PiecewisePolynomial, integral_against_derivative
@@ -46,6 +44,7 @@ __all__ = [
     "basic_change_of_variables",
     "pJ_alpha",
     "eigen_tuple_density",
+    "kernel_sum_density",
     "trace_via_measure",
     "expansion_terms_json",
 ]
@@ -464,6 +463,20 @@ def eigen_tuple_density(U0, Us, Hs):
     folded in one array pass (:func:`_fold_kernels`).
     Returns (density, total_kernel_weight).
     """
+    return _fold_kernels(_tuple_weights(U0, Us, Hs), len(Us), _hull(Hs))
+
+
+def kernel_sum_density(U0, Us, Hs):
+    """Reference for :func:`eigen_tuple_density`: the same weights, with
+    one ``peano_kernel`` per node multiset added in by
+    ``PiecewisePolynomial.__add__``.  Exact but one refinement per kernel;
+    the ``ssf`` suite checks the array fold against it.
+    Returns (density, total_kernel_weight)."""
+    return _sum_kernels(_tuple_weights(U0, Us, Hs), len(Us), _hull(Hs))
+
+
+def _tuple_weights(U0, Us, Hs):
+    """Tr(U_0 P_{j0} U_1 ... U_m P_{jm}) summed by sorted node multiset."""
     m = len(Us)
     if len(Hs) != m + 1:
         raise ValidationError("need m+1 operators")
@@ -479,8 +492,7 @@ def eigen_tuple_density(U0, Us, Hs):
             continue
         key = tuple(sorted(nodes))
         weight_by_nodes[key] = weight_by_nodes.get(key, 0.0 + 0.0j) + w
-
-    return _fold_kernels(weight_by_nodes, m, _hull(Hs))
+    return weight_by_nodes
 
 
 # elements per Cox-de Boor level array: _fold_kernels takes the kernels in
@@ -522,6 +534,18 @@ def _fold_kernels(weight_by_nodes, m, hull):
         z = knots[start : start + step]
         coeffs += np.einsum("k,kjd->jd", weights[start : start + step], _bspline_levels(z, lo, mid))
     return PiecewisePolynomial(grid, tuple(coeffs), tuple(sorted(atoms.items()))), total_weight
+
+
+def _sum_kernels(weight_by_nodes, m, hull):
+    """Sum of w * peano_kernel(nodes), one kernel at a time: the reference
+    for :func:`_fold_kernels`.  Returns (density, total_kernel_weight)."""
+    density = None
+    for nodes, w in sorted(weight_by_nodes.items()):
+        kern = peano_kernel(nodes).scaled(w)
+        density = kern if density is None else density + kern
+    if density is None:
+        density = PiecewisePolynomial.zero(hull)
+    return density, sum(abs(w) for w in weight_by_nodes.values()) / math.factorial(m)
 
 
 def _bspline_levels(z, lo, mid):

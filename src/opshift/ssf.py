@@ -221,12 +221,13 @@ class ScalingReport:
     slope: float | None
 
     def small_t_slope(self):
-        """Log-log slope over the five smallest scales (t <= 2^-4 for the
-        default nine), which fixes the order of the norm as t -> 0; the
-        bound says nothing about larger t.  None if a norm vanishes."""
-        ts, values = zip(*sorted(self.scales)[:5])
-        if not all(v > 0 for v in values):
+        """Log-log slope over the scales t <= 2^-4, which fixes the order
+        of the norm as t -> 0; the bound says nothing about larger t.
+        None if fewer than two such scales remain or a norm vanishes."""
+        small = [(t, v) for t, v in self.scales if t <= 2.0**-4]
+        if len(small) < 2 or not all(v > 0 for _, v in small):
             return None
+        ts, values = zip(*small)
         return float(np.polyfit(np.log(ts), np.log(values), 1)[0])
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from opshift import cli
+from opshift import cli, cov
 from opshift.cli import ExperimentConfig, main
 from opshift.piecewise import PiecewisePolynomial
 
@@ -63,6 +63,8 @@ class TestSuites:
     def test_ssf_scalar_density_artifacts(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli(["ssf", "--out", str(out)]) == 0
+        checks = {c["id"]: c for c in json.loads((out / "report.json").read_text())["suites"]["ssf"]["checks"]}
+        assert checks["ssf.kernel_fold.m3"]["pass"]
         payload = json.loads((out / "eta_3.json").read_text())
         pp = PiecewisePolynomial.from_json_dict(
             {k: payload[k] for k in ("breakpoints", "coeffs", "atoms")}
@@ -72,6 +74,15 @@ class TestSuites:
         csv = (out / "eta_3.csv").read_text().splitlines()
         assert csv[0] == "x,value"
         assert len(csv) == 202
+
+    def test_kernel_fold_check_fails_on_a_wrong_fold(self, tmp_path, monkeypatch):
+        # the ssf suite checks the array fold against the sum of Peano kernels
+        levels = cov._bspline_levels
+        monkeypatch.setattr(cov, "_bspline_levels", lambda *a: 1.001 * levels(*a))
+        out = tmp_path / "out"
+        assert run_cli(["ssf", "--out", str(out)]) == 1
+        checks = {c["id"]: c for c in json.loads((out / "report.json").read_text())["suites"]["ssf"]["checks"]}
+        assert not checks["ssf.kernel_fold.m3"]["pass"]
 
     def test_grid_flag_controls_csv(self, tmp_path):
         out = tmp_path / "out"
@@ -107,13 +118,17 @@ class TestScalingOrder:
         checks = {c["id"]: c for c in json.loads((out / "report.json").read_text())["suites"]["bounds"]["checks"]}
         assert checks["ssf.scaling_order_odd"]["pass"] and checks["ssf.scaling_order_even"]["pass"]
 
-    @pytest.mark.parametrize("parity, offset", [("even", 1e-12), ("odd", 1e-10)])
-    def test_order_check_fails_on_a_norm_floor(self, tmp_path, monkeypatch, parity, offset):
-        # a constant added to every weighted norm flattens the small-t order
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_order_check_fails_on_a_norm_floor(self, tmp_path, monkeypatch, parity):
+        # a constant added to every weighted norm flattens the small-t order.
+        # Even-m norms fall to about 1e-14 at t = 2^-8, so 1e-12 suffices;
+        # odd-m norms only fall to about 2e-11, where 1e-12 moves the order
+        # by 0.015, so the odd floor is the smallest norm itself
         exact = cli.weighted_norm_and_scaling
 
         def floored(*args, **kwargs):
             rep = exact(*args, **kwargs)
+            offset = 1e-12 if parity == "even" else min(v for _, v in rep.scales)
             return dataclasses.replace(rep, scales=tuple((t, v + offset) for t, v in rep.scales))
 
         monkeypatch.setattr(cli, "weighted_norm_and_scaling", floored)

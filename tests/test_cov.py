@@ -16,15 +16,15 @@ from opshift.cov import (
     cov_scalar_identity,
     eigen_tuple_density,
     expansion_terms_json,
+    kernel_sum_density,
     pJ_alpha,
     signature_for_J,
     trace_via_measure,
 )
 from opshift.ensembles import random_hermitian, rng_stream
 from opshift.errors import ValidationError
-from opshift.functions import GaussianFunction, PolynomialFunction, peano_kernel, rational_from_poles
+from opshift.functions import GaussianFunction, PolynomialFunction, rational_from_poles
 from opshift.linalg import HermitianOperator, schatten_norm
-from opshift.moi import eigen_tuples
 
 
 def random_signature(rng, m):
@@ -355,23 +355,6 @@ class TestTraceViaMeasure:
         assert np.isfinite(rep.ratio)
 
 
-def _kernel_sum(weight_by_nodes):
-    """Reference fold: sum of w * peano_kernel(nodes), one __add__ per key."""
-    density = None
-    for nodes, w in sorted(weight_by_nodes.items()):
-        kern = peano_kernel(nodes).scaled(w)
-        density = kern if density is None else density + kern
-    return density
-
-
-def _tuple_weights(U0, Us, Hs):
-    weights = {}
-    for nodes, prod in eigen_tuples(Hs, Us):
-        key = tuple(sorted(nodes))
-        weights[key] = weights.get(key, 0.0) + complex(np.trace(U0 @ prod))
-    return weights
-
-
 def _fold_error(got, ref):
     """Largest pointwise difference inside the intervals and on the atoms,
     relative to the reference's largest value or atom mass."""
@@ -405,7 +388,7 @@ class TestKernelFold:
             (-1.0, 0.0, 1.0, 2.0): 1.1,
         }
         density, total = cov._fold_kernels(weights, 3, (0.0, 1.0))
-        assert _fold_error(density, _kernel_sum(weights)) <= 1e-14
+        assert _fold_error(density, cov._sum_kernels(weights, 3, (0.0, 1.0))[0]) <= 1e-14
         assert dict(density.atoms)[0.25] == pytest.approx(2.0 / 6.0)
         assert total == pytest.approx(sum(abs(w) for w in weights.values()) / 6.0)
 
@@ -419,7 +402,7 @@ class TestKernelFold:
         H, V = random_hermitian(rng_stream(70 + d, m), d, 1.0), random_hermitian(rng_stream(80 + d, m), d, 0.5)
         Hs, Us = [H, H + V] + [H] * (m - 1), [V.entries] * m
         density, _ = eigen_tuple_density(np.eye(d), Us, Hs)
-        assert _fold_error(density, _kernel_sum(_tuple_weights(np.eye(d), Us, Hs))) <= 1e-14
+        assert _fold_error(density, kernel_sum_density(np.eye(d), Us, Hs)[0]) <= 1e-14
 
     @pytest.mark.parametrize(
         "eigenvalues, m",
@@ -435,14 +418,14 @@ class TestKernelFold:
         H, V = _spectral(rng, eigenvalues), random_hermitian(rng, d, 1e-3)
         Hs, Us = [H, H + V] + [H] * (m - 1), [V.entries] * m
         density, _ = eigen_tuple_density(np.eye(d), Us, Hs)
-        assert _fold_error(density, _kernel_sum(_tuple_weights(np.eye(d), Us, Hs))) <= 1e-14
+        assert _fold_error(density, kernel_sum_density(np.eye(d), Us, Hs)[0]) <= 1e-14
 
     def test_general_closing_operator(self):
         # U0 != I and distinct H_k, as trace_via_measure passes them
         Hs, Us = ops_and_args(91, 3, 3)
         U0 = random_hermitian(rng_stream(91, 1), 3, 1.0).entries + 0.5j * np.eye(3)
         density, _ = eigen_tuple_density(U0, Us, Hs)
-        assert _fold_error(density, _kernel_sum(_tuple_weights(U0, Us, Hs))) <= 1e-14
+        assert _fold_error(density, kernel_sum_density(U0, Us, Hs)[0]) <= 1e-14
 
     def test_chunked_fold_matches_one_pass(self, monkeypatch):
         H, V = random_hermitian(rng_stream(92, 0), 4, 1.0), random_hermitian(rng_stream(92, 1), 4, 0.5)

@@ -4,8 +4,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from opshift.errors import ValidationError
 from opshift.functions import (
@@ -63,17 +61,13 @@ class TestDividedDifference:
             oracle = recursive_divided_difference([complex(f.eval_deriv(0, x)) for x in nodes], nodes)
             assert divided_difference(f, nodes) == pytest.approx(oracle, rel=1e-10)
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        center=st.floats(-1.0, 1.0),
-        log_gaps=st.lists(st.floats(-7.0, 0.0), min_size=1, max_size=6),
-        pole_seed=st.integers(0, 2**16),
-        weight=st.integers(0, 3),
-    )
-    def test_rational_at_clustered_nodes_matches_mpmath(self, center, log_gaps, pole_seed, weight):
+    @pytest.mark.parametrize("seed", range(60))
+    def test_rational_at_clustered_nodes_matches_mpmath(self, seed):
         # gaps down to 1e-7 stay unmerged; a Newton table would divide
         # rounding by them at every level
-        rng = np.random.default_rng(pole_seed)
+        rng = np.random.default_rng(seed)
+        center, weight = rng.uniform(-1.0, 1.0), int(rng.integers(0, 4))
+        log_gaps = rng.uniform(-7.0, 0.0, int(rng.integers(1, 7)))
         poles = [complex(a, b) for a, b in zip(rng.uniform(-2, 2, 3), rng.uniform(0.6, 1.5, 3))]
         f = weight_multiply(rational_from_poles(poles + [z.conjugate() for z in poles]), weight)
         nodes = center + np.concatenate([[0.0], np.cumsum(10.0 ** np.array(log_gaps))])

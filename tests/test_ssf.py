@@ -11,6 +11,7 @@ from opshift.linalg import HermitianOperator
 from opshift.moi import taylor_remainder
 from opshift.piecewise import DiscreteMeasure
 from opshift.ssf import (
+    ScalingReport,
     SpectralShiftDensity,
     _poly_on_grid,
     measure_weight_shift,
@@ -168,6 +169,16 @@ class TestWeightedNormAndScaling:
         rep = weighted_norm_and_scaling(H, HermitianOperator(np.zeros((3, 3))), 2, "odd")
         assert rep.weighted_l1 == pytest.approx(0.0, abs=1e-14)
         assert rep.slope is None
+
+    @pytest.mark.parametrize("t_count", [5, 6, 9, 12])
+    def test_small_t_slope_uses_scales_up_to_one_sixteenth(self, t_count):
+        # order 3 for t <= 2^-4 and order 1 above: only the small scales may count
+        scales = tuple((2.0**-j, 2.0**-j if j < 4 else 2.0 ** (-3 * j + 8)) for j in range(t_count))
+        rep = ScalingReport(3, 8, 1.0, 1.0, 1.0, scales, None)
+        if t_count < 6:
+            assert rep.small_t_slope() is None
+        else:
+            assert rep.small_t_slope() == pytest.approx(3.0)
 
     def test_single_scale_rejected(self):
         H, V = random_pair(rng_stream(60, 0), 2, 1.0, 0.3)
