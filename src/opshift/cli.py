@@ -280,15 +280,15 @@ def suite_bounds(cfg: ExperimentConfig):
     slope_floor = {}
     slopes = {}
     ratio_worst = 0.0
-    pairs = []
+    reports = {parity: [] for parity in _PARITIES[cfg.parity]}
     for _ in range(cfg.ensemble):
         dim = int(rng.choice([d for d in cfg.dims if d >= 2] or cfg.dims))
         # modest perturbations keep the small-t scaling regime visible
         H, V = random_pair(rng, dim, 1.0, 0.3)
-        pairs.append((H, V))
         for parity in _PARITIES[cfg.parity]:
             m = 2 * cfg.n - 1 if parity == "odd" else 2 * cfg.n
             rep = weighted_norm_and_scaling(H, V, cfg.n, parity)
+            reports[parity].append(rep)
             slope_floor[parity] = m - tol["slope_margin"]
             order = rep.small_t_slope()
             slopes[parity] = min(slopes.get(parity, np.inf), order if order is not None else np.inf)
@@ -313,7 +313,7 @@ def suite_bounds(cfg: ExperimentConfig):
     # informational: how small the weight exponent could be for this ensemble
     data = {}
     for parity in _PARITIES[cfg.parity]:
-        survey = weight_exponent_survey(pairs, cfg.n, parity)
+        survey = weight_exponent_survey(reports[parity])
         data[f"weight_survey_{parity}"] = {
             "reference_exponent": survey["reference_exponent"],
             "smallest_stable_exponent": survey["smallest_stable_exponent"],

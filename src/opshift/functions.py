@@ -333,6 +333,29 @@ def _merge_nodes(nodes):
     return merged
 
 
+def _merge_rows(rows):
+    """:func:`_merge_nodes` applied to every row of a (rows, k) array whose
+    rows are sorted ascending: the same chained gaps, the same group
+    values (the left-to-right mean, or the common value of a group whose
+    ends are equal), in one pass over the k columns."""
+    x = np.asarray(rows, dtype=float)
+    tol = NODE_MERGE_RELTOL * (1.0 + (x[:, -1] - x[:, 0]))
+    starts = np.ones(x.shape, dtype=bool)
+    starts[:, 1:] = np.diff(x, axis=1) > tol[:, None]
+    first, total, count = x.copy(), x.copy(), np.ones(x.shape)
+    for c in range(1, x.shape[1]):
+        joined = ~starts[:, c]
+        first[joined, c] = first[joined, c - 1]
+        total[joined, c] += total[joined, c - 1]
+        count[joined, c] = count[joined, c - 1] + 1.0
+    # the last column of each group holds its full sum; carry it leftwards
+    rep = np.where(first == x, x, total / count)
+    for c in range(x.shape[1] - 2, -1, -1):
+        joined = ~starts[:, c + 1]
+        rep[joined, c] = rep[joined, c + 1]
+    return rep
+
+
 def divided_difference(f: TestFunction, nodes) -> complex:
     """Divided difference of order len(nodes)-1, confluent at repeated nodes."""
     nodes = list(nodes)

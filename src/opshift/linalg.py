@@ -8,6 +8,7 @@ on the operator.
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -109,21 +110,40 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Clustered eigenvalues with orthogonal spectral projections."""
+    """Clustered eigenvalues with orthogonal spectral projections.
+
+    ``eigenvectors`` holds the orthonormal columns from ``eigh`` in
+    ascending eigenvalue order and ``labels[i]`` the cluster of column i;
+    every cluster is a run of consecutive columns.  The projection of
+    cluster j is the sum of x_i x_i^* over its columns, built on first
+    use, so callers that work in the eigenbasis never pay for it.
+    """
 
     eigenvalues: np.ndarray
-    projections: tuple
+    eigenvectors: np.ndarray
+    labels: np.ndarray
     cluster_tolerance: float
 
     def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float)
-        ev.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", ev)
-        object.__setattr__(self, "projections", tuple(self.projections))
+        for name, dtype in (("eigenvalues", float), ("eigenvectors", complex), ("labels", np.intp)):
+            a = np.asarray(getattr(self, name), dtype=dtype)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @functools.cached_property
+    def projections(self):
+        out = []
+        for j in range(len(self.eigenvalues)):
+            vecs = self.eigenvectors[:, self.labels == j]
+            p = vecs @ vecs.conj().T
+            p = 0.5 * (p + p.conj().T)
+            p.setflags(write=False)
+            out.append(p)
+        return tuple(out)
 
     @property
     def dim(self):
-        return self.projections[0].shape[0]
+        return self.eigenvectors.shape[0]
 
     def multiplicities(self):
         return [int(round(np.real(np.trace(p)))) for p in self.projections]
@@ -181,22 +201,10 @@ def spectral_decompose(H, cluster_tolerance=None) -> SpectralDecomposition:
         lam, U = np.linalg.eigh(H.entries)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger on lapack
         raise NumericError("eigensolver failed to converge") from exc
-    groups = [[0]]
-    for i in range(1, len(lam)):
-        if lam[i] - lam[groups[-1][-1]] <= cluster_tolerance:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    eigenvalues = []
-    projections = []
-    for g in groups:
-        eigenvalues.append(float(np.mean(lam[g])))
-        vecs = U[:, g]
-        p = vecs @ vecs.conj().T
-        p = 0.5 * (p + p.conj().T)
-        p.setflags(write=False)
-        projections.append(p)
-    return SpectralDecomposition(np.array(eigenvalues), tuple(projections), float(cluster_tolerance))
+    # a new cluster starts where the gap to the previous eigenvalue exceeds the tolerance
+    labels = np.concatenate([[0], np.cumsum(np.diff(lam) > cluster_tolerance)])
+    eigenvalues = [float(np.mean(lam[labels == j])) for j in range(labels[-1] + 1)]
+    return SpectralDecomposition(np.array(eigenvalues), U, labels, float(cluster_tolerance))
 
 
 def _eval_scalar_function(f, x):

@@ -26,6 +26,7 @@ from .linalg import HermitianOperator, func_calculus, schatten_norm
 __all__ = [
     "MoiSymbol",
     "OperatorTuple",
+    "check_tuple_budget",
     "eigen_tuples",
     "moi_eval",
     "moi_eval_separated_rational",
@@ -104,6 +105,16 @@ class OperatorTuple:
         return len(self.arguments)
 
 
+def check_tuple_budget(operators):
+    """Decompositions of the operators, after checking that their
+    eigenvalue-cluster tuple count stays within ``TUPLE_BUDGET``."""
+    decs = [h.decomposition() for h in operators]
+    n_tuples = math.prod(len(d.eigenvalues) for d in decs)
+    if n_tuples > TUPLE_BUDGET:
+        raise BudgetError(f"{n_tuples} eigenvalue tuples exceed the budget {TUPLE_BUDGET}")
+    return decs
+
+
 def eigen_tuples(operators, arguments):
     """Yield (nodes, product) for every eigen-tuple with a nonzero product.
 
@@ -115,10 +126,7 @@ def eigen_tuples(operators, arguments):
     block P^k_a A_{k+1} P^{k+1}_b is skipped.  The tuple count is checked
     against ``TUPLE_BUDGET`` before any block is built.
     """
-    decs = [h.decomposition() for h in operators]
-    n_tuples = math.prod(len(d.eigenvalues) for d in decs)
-    if n_tuples > TUPLE_BUDGET:
-        raise BudgetError(f"{n_tuples} eigenvalue tuples exceed the budget {TUPLE_BUDGET}")
+    decs = check_tuple_budget(operators)
     eigs = [d.eigenvalues.tolist() for d in decs]
     p = len(arguments)
     # blocks[k][a] lists (b, P^k_a A_{k+1} P^{k+1}_b) over the nonzero blocks only

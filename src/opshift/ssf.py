@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
@@ -219,6 +219,7 @@ class ScalingReport:
     ratio: float
     scales: tuple  # (t, weighted_l1(tV)) pairs
     slope: float | None
+    density: PiecewisePolynomial | None = field(default=None, repr=False, compare=False)  # eta_m at t = 1
 
     def small_t_slope(self):
         """Log-log slope over the scales t <= 2^-4, which fixes the order
@@ -239,25 +240,25 @@ def _bound_factor(H, V, n, parity):
     return (1.0 + vnorm**2) * vnorm**power * schatten_norm(rH @ V.entries @ rH, n) ** n
 
 
-def weight_exponent_survey(pairs, n, parity, head_room=4):
+def weight_exponent_survey(reports, head_room=4):
     """Reported (never asserted) tightness probe for the weight exponent.
 
-    For integer weights from w_ref - head_room up to the reference
-    exponent w_ref, tabulate the worst ratio of the weighted density
-    norm to the bound factor across the ensemble, and report the
+    ``reports`` are the :class:`ScalingReport` of one order and parity
+    over an ensemble; each carries its density at t = 1 and its bound
+    factor.  For integer weights from w_ref - head_room up to the
+    reference exponent w_ref, tabulate the worst ratio of the weighted
+    density norm to the bound factor across the ensemble, and report the
     smallest weight whose worst ratio stays within a factor two of the
     reference weight's.
     """
-    m, w_ref = _orders_for(n, parity)
+    w_ref = reports[0].weight_exponent
     weights = list(range(max(1, w_ref - head_room), w_ref + 1))
     worst = {w: 0.0 for w in weights}
-    for H, V in pairs:
-        eta = ssf_compute(H, V, m, "bspline")
-        rhs = _bound_factor(H, V, n, parity)
-        if rhs == 0.0:
+    for rep in reports:
+        if rep.rhs_factor == 0.0:
             continue
         for w in weights:
-            worst[w] = max(worst[w], weighted_abs_integral(eta.density, w) / rhs)
+            worst[w] = max(worst[w], weighted_abs_integral(rep.density, w) / rep.rhs_factor)
     reference = worst[w_ref]
     smallest = w_ref
     for w in weights:
@@ -288,7 +289,7 @@ def weighted_norm_and_scaling(H, V, n, parity, t_count=9) -> ScalingReport:
     if all(v > 0 for v in values):
         slope = float(np.polyfit(np.log(ts), np.log(values), 1)[0])
     ratio = weighted / rhs if rhs > 0 else (math.inf if weighted > 0 else 0.0)
-    return ScalingReport(m, w, float(weighted), float(rhs), float(ratio), tuple(zip(ts, values)), slope)
+    return ScalingReport(m, w, float(weighted), float(rhs), float(ratio), tuple(zip(ts, values)), slope, eta.density)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from opshift.ensembles import random_hermitian, rng_stream
 from opshift.errors import ValidationError
 from opshift.functions import GaussianFunction, PolynomialFunction, rational_from_poles
 from opshift.linalg import HermitianOperator, schatten_norm
+from opshift.moi import eigen_tuples
 
 
 def random_signature(rng, m):
@@ -387,13 +388,14 @@ class TestKernelFold:
             (3.0, 3.0, 3.0, 3.0): -0.5,  # an atom off every kernel's support
             (-1.0, 0.0, 1.0, 2.0): 1.1,
         }
-        density, total = cov._fold_kernels(weights, 3, (0.0, 1.0))
-        assert _fold_error(density, cov._sum_kernels(weights, 3, (0.0, 1.0))[0]) <= 1e-14
+        nodes, values = np.array(list(weights)), np.array(list(weights.values()), dtype=complex)
+        density, total = cov._fold_kernels(nodes, values, 3, (0.0, 1.0))
+        assert _fold_error(density, cov._sum_kernels(nodes, values, 3, (0.0, 1.0))[0]) <= 1e-14
         assert dict(density.atoms)[0.25] == pytest.approx(2.0 / 6.0)
         assert total == pytest.approx(sum(abs(w) for w in weights.values()) / 6.0)
 
     def test_no_weight_gives_zero_density_on_the_hull(self):
-        density, total = cov._fold_kernels({}, 3, (-1.0, 2.0))
+        density, total = cov._fold_kernels(np.zeros((0, 4)), np.zeros(0, dtype=complex), 3, (-1.0, 2.0))
         assert total == 0.0 and density.support() == (-1.0, 2.0)
         assert np.all(density(np.linspace(-1.0, 2.0, 7)) == 0.0)
 
@@ -433,4 +435,117 @@ class TestKernelFold:
         whole, _ = eigen_tuple_density(np.eye(4), Us, Hs)
         monkeypatch.setattr(cov, "_FOLD_CHUNK", 1)  # one kernel per chunk
         chunked, _ = eigen_tuple_density(np.eye(4), Us, Hs)
+        assert _fold_error(chunked, whole) <= 1e-14
+
+
+def _reference_weights(U0, Us, Hs):
+    """Tr(U_0 * product) over moi.eigen_tuples, summed by sorted node
+    multiset one tuple at a time: the loop that the cycle product replaced."""
+    u0_adj = np.asarray(U0, dtype=complex).conj().T  # Tr(U_0 X) = vdot(U_0^*, X)
+    out = {}
+    for nodes, prod in eigen_tuples(Hs, Us):
+        key = tuple(sorted(nodes))
+        out[key] = out.get(key, 0.0) + complex(np.vdot(u0_adj, prod))
+    return out
+
+
+def _pointwise_error(got, ref):
+    """Largest difference of two densities inside the intervals of their
+    common refinement and over their atoms, relative to the reference's
+    largest value or atom mass."""
+    bp = np.union1d(got.breakpoints, ref.breakpoints)
+    xs = np.concatenate([bp[:-1] + f * np.diff(bp) for f in (0.1, 0.5, 0.9)])
+    got_atoms, ref_atoms = dict(got.atoms), dict(ref.atoms)
+    scale = max([float(np.max(np.abs(ref(xs)))) if len(xs) else 0.0] + [abs(w) for w in ref_atoms.values()])
+    diffs = [abs(got_atoms.get(x, 0.0) - ref_atoms.get(x, 0.0)) for x in set(got_atoms) | set(ref_atoms)]
+    if len(xs):
+        diffs.append(float(np.max(np.abs(got(xs) - ref(xs)))))
+    return max(diffs) / scale
+
+
+def _remainder_case(seed, d, m):
+    H, V = random_hermitian(rng_stream(seed, 0), d, 1.0), random_hermitian(rng_stream(seed, 1), d, 0.5)
+    return np.eye(d), [V.entries] * m, [H, H + V] + [H] * (m - 1) if m else [H]
+
+
+def _general_case(seed, d, m):
+    # U0 != I and distinct H_k, as trace_via_measure passes them
+    rng = rng_stream(seed, 2)
+    Hs = [random_hermitian(rng, d, 1.0) for _ in range(m + 1)]
+    Us = [random_hermitian(rng, d, 0.8).entries for _ in range(m)]
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)), Us, Hs
+
+
+def _degenerate_case(seed, d, m):
+    # H and H + V both with repeated eigenvalues in unrelated eigenbases
+    rng = rng_stream(seed, 3)
+    H = _spectral(rng, np.round(np.linspace(-1.0, 1.0, d)))
+    HV = _spectral(rng, 0.5 * np.round(np.linspace(-1.0, 2.0, d)))
+    V = HermitianOperator(HV.entries - H.entries)
+    return np.eye(d), [V.entries] * m, [H, H + V] + [H] * (m - 1) if m else [H]
+
+
+def _kernel_case(seed, d, m):
+    # V vanishes on half of H's eigenvectors, so those eigenvalues of H
+    # are eigenvalues of H + V as well and lambda and mu nodes coincide
+    rng = rng_stream(seed, 4)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    H = HermitianOperator(q @ np.diag(np.linspace(-1.0, 1.0, d)) @ q.conj().T)
+    w = np.zeros((d, d), dtype=complex)
+    k = d // 2
+    w[k:, k:] = random_hermitian(rng, d - k, 0.5).entries
+    V = HermitianOperator(q @ w @ q.conj().T)
+    return np.eye(d), [V.entries] * m, [H, H + V] + [H] * (m - 1) if m else [H]
+
+
+def _clustered_case(seed, d, m):
+    # eigenvalue gaps of 1e-9 (one cluster), 1e-8 (merged nodes), 1e-7 and 1e-6
+    rng = rng_stream(seed, 5)
+    base = np.linspace(-0.8, 0.8, (d + 1) // 2)
+    ev = np.sort(np.concatenate([base, base[: d // 2] + np.array([1e-9, 1e-8, 1e-7, 1e-6])[np.arange(d // 2) % 4]]))
+    H, V = _spectral(rng, ev), random_hermitian(rng, d, 1e-3)
+    return np.eye(d), [V.entries] * m, [H, H + V] + [H] * (m - 1) if m else [H]
+
+
+# every (d, m) with d in {1, 2, 5, 8} and m in 0..6 whose reference loop and
+# reference fold stay near a second: at most 2 * 10^4 tuples, so d = 5 runs
+# to m = 5 and d = 8 to m = 3 (test_range covers d = 8, m = 4)
+_SHAPES = [(d, m) for d in (1, 2, 5, 8) for m in range(7) if d ** (m + 1) <= 2 * 10**4]
+_CASES = {
+    "remainder": _remainder_case,
+    "general": _general_case,
+    "degenerate": _degenerate_case,
+    "kernel": _kernel_case,
+    "clustered": _clustered_case,
+}
+
+
+class TestCycleWeights:
+    """The eigenbasis cycle product against the per-tuple trace loop."""
+
+    @pytest.mark.parametrize("case", sorted(_CASES))
+    @pytest.mark.parametrize("d, m", _SHAPES)
+    def test_weights_and_density_match_the_tuple_loop(self, case, d, m):
+        U0, Us, Hs = _CASES[case](100 + 10 * d + m, d, m)
+        nodes, weights = cov._tuple_weights(U0, Us, Hs)
+        ref = _reference_weights(U0, Us, Hs)
+        got = {tuple(row): w for row, w in zip(nodes.tolist(), weights.tolist())}
+        assert list(got) == sorted(got)  # ascending, as the fold expects
+        scale = max(abs(w) for w in ref.values())
+        assert max(abs(got.get(k, 0.0) - ref.get(k, 0.0)) for k in set(got) | set(ref)) <= 1e-13 * scale
+        ref_nodes = np.array(list(ref), dtype=float).reshape(len(ref), m + 1)
+        ref_density, _ = cov._fold_kernels(ref_nodes, np.array(list(ref.values())), m, cov._hull(Hs))
+        density, _ = eigen_tuple_density(U0, Us, Hs)
+        assert _pointwise_error(density, ref_density) <= 1e-12
+
+    def test_one_cluster_per_chunk_matches_one_pass(self, monkeypatch):
+        U0, Us, Hs = _general_case(93, 5, 3)
+        Hs[0] = _degenerate_case(93, 5, 1)[2][0]  # eigenvalues -1, 0, 0, 0, 1
+        whole, _ = eigen_tuple_density(U0, Us, Hs)
+        blocks = []
+        cycle_block = cov._cycle_block
+        monkeypatch.setattr(cov, "_cycle_block", lambda *a: blocks.append(a[3:]) or cycle_block(*a))
+        monkeypatch.setattr(cov, "_CYCLE_CHUNK", 1)
+        chunked, _ = eigen_tuple_density(U0, Us, Hs)
+        assert blocks == [(0, 1), (1, 4), (4, 5)]  # one chunk per cluster of H_0
         assert _fold_error(chunked, whole) <= 1e-14

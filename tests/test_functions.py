@@ -7,6 +7,7 @@ import pytest
 
 from opshift.errors import ValidationError
 from opshift.functions import (
+    NODE_MERGE_RELTOL,
     GaussianFunction,
     PolynomialFunction,
     bump,
@@ -15,6 +16,8 @@ from opshift.functions import (
     leibniz_weighted_sup_bound,
     peano_kernel,
     rational_from_poles,
+    _merge_nodes,
+    _merge_rows,
     weight_multiply,
 )
 from opshift.piecewise import integral_against_derivative
@@ -31,6 +34,32 @@ def recursive_divided_difference(values, nodes):
             (table[i + 1] - table[i]) / (xs[i + j] - xs[i]) for i in range(n - j)
         ]
     return table[0]
+
+
+def _merge_test_rows(rng, width, count):
+    """Sorted rows of ``width`` nodes: a few wide gaps set the span, and
+    the other gaps are exact repeats, gaps just inside or outside the merge
+    tolerance NODE_MERGE_RELTOL * (1 + span), or gaps far inside it."""
+    rows = []
+    for _ in range(count):
+        wide = rng.uniform(0.0, 1.5, size=width - 1) * (rng.random(width - 1) < 0.3)
+        tol = NODE_MERGE_RELTOL * (1.0 + wide.sum())
+        small = tol * rng.choice([0.0, 0.0, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1e-3, 0.5], size=width - 1)
+        gaps = np.where(wide > 0, wide, small)
+        start = rng.choice([0.0, 0.1, 1.0 / 3.0, rng.uniform(-2.0, 2.0)])
+        rows.append(start + np.concatenate([[0.0], np.cumsum(gaps)]))
+    return np.sort(np.array(rows), axis=1)
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_merge_rows_equals_merge_nodes_row_by_row(width):
+    # the fold merges all kernel rows at once; it must keep divided_difference's
+    # rule exactly, or a group of equal nodes lands an ulp off and cuts a sliver
+    rows = _merge_test_rows(np.random.default_rng(width), width, 300)
+    merged = _merge_rows(rows)
+    for row, got in zip(rows.tolist(), merged.tolist()):
+        assert got == _merge_nodes(row)
+    assert np.any(merged != rows) or width == 1
 
 
 class TestDividedDifference:

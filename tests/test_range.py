@@ -70,14 +70,24 @@ def test_shift_density_trace_over_seeds(m, d, seed):
 
 
 def test_over_budget_density_enumerates_no_tuple(monkeypatch):
-    eigen_tuples = cov.eigen_tuples
+    def guarded(*args):
+        pytest.fail("an over-budget density built a block of tuple weights")
 
-    def guarded(operators, arguments):
-        for item in eigen_tuples(operators, arguments):
-            pytest.fail("an over-budget enumeration yielded a tuple")
-            yield item
-
-    monkeypatch.setattr(cov, "eigen_tuples", guarded)
+    monkeypatch.setattr(cov, "_cycle_block", guarded)
     H, V, _ = _instance([3], 16, 0.5)
     with pytest.raises(BudgetError):
         ssf_compute(H, V, 6)
+
+
+def test_remainder_density_keeps_only_cycle_kernels():
+    # on (H, H+V, H, H, H) with U0 = I only the cycles j_4 = j_0 carry
+    # weight; a loop over all eigen-tuples also kept 560 round-off kernels
+    H, V, poles = _instance([5, 4, 8], 8, 0.5)
+    nodes, _ = cov._tuple_weights(np.eye(8), [V.entries] * 4, [H, H + V, H, H, H])
+    lam, mu = H.decomposition().eigenvalues, (H + V).decomposition().eigenvalues
+    cycles = {tuple(sorted((a, b, c, e, a))) for a in lam for b in mu for c in lam for e in lam}
+    assert len(cycles) == 2080
+    assert {tuple(row) for row in nodes.tolist()} == cycles
+    integral = ssf_compute(H, V, 4).integrate_against(rational_from_poles(poles))
+    ref, scale = oracles.rational_remainder_trace(poles, H.entries, V.entries, 4)
+    assert abs(integral - ref) / scale <= TOLERANCE
