@@ -28,7 +28,7 @@ from .errors import ValidationError
 from .functions import TestFunction, _merge_rows, divided_difference, peano_kernel, weight_multiply
 from .linalg import HermitianOperator, schatten_norm
 from .moi import MoiSymbol, OperatorTuple, check_tuple_budget, moi_eval
-from .piecewise import PiecewisePolynomial, integral_against_derivative
+from .piecewise import PiecewisePolynomial, _weighted_modulus, integral_against_derivative
 
 __all__ = [
     "EpsilonSignature",
@@ -404,39 +404,25 @@ class WeightedTraceMeasure:
 
     ``density`` is the piecewise-polynomial part before the u-weighting,
     so integrals of h * u^weight_exponent against the measure reduce to
-    exact integrals of h against the density.
+    integrals of h against the density.
     """
 
     density: PiecewisePolynomial
     weight_exponent: int
 
     def integrate_weighted_derivative(self, g: TestFunction, order: int):
-        """Integral of g^(order) * u^weight_exponent d(mu), closed form."""
+        """Integral of g^(order) * u^weight_exponent d(mu): that of g^(order)
+        against the density."""
         return integral_against_derivative(g, order, self.density)
 
     def norm(self):
-        """Total variation: Gauss quadrature of |u|^(-w) |density| with
-        intervals split at component roots (the magnitude kinks there)."""
-        from .piecewise import _real_roots_in
-
+        """Total variation: the integral of |u|^(-w) |density| =
+        (1+x^2)^(-w/2) |density(x)| plus the atoms, by the split
+        Gauss-Legendre rule of :mod:`opshift.piecewise` on segments split
+        at the real roots of the real and imaginary parts, where the
+        modulus kinks."""
         w = self.weight_exponent
-        nodes, weights = np.polynomial.legendre.leggauss(48)
-        total = 0.0
-        bp = self.density.breakpoints
-        mids = 0.5 * (bp[:-1] + bp[1:])
-        for i, (lo, hi) in enumerate(zip(bp[:-1], bp[1:])):
-            c = self.density.coeffs[i]
-            cuts = sorted(
-                set(
-                    mids[i] + r
-                    for part in (np.real(c), np.imag(c))
-                    for r in _real_roots_in(part, lo - mids[i], hi - mids[i])
-                )
-            )
-            for a, b in zip([lo] + cuts, cuts + [hi]):
-                xs = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-                vals = np.abs(self.density(xs)) * (1.0 + xs * xs) ** (-w / 2.0)
-                total += 0.5 * (b - a) * float(np.dot(weights, vals))
+        total = _weighted_modulus(self.density, w)
         for x, mass in self.density.atoms:
             total += abs(complex(mass)) * (1.0 + x * x) ** (-w / 2.0)
         return total
@@ -605,7 +591,7 @@ def _fold_kernels(nodes, weights, m, hull):
         z = knots[start : start + step]
         coeffs += np.einsum("k,kjd->jd", weights_k[start : start + step], _bspline_levels(z, lo, mid))
     atoms = tuple(zip(atom_x.tolist(), atom_mass.tolist()))
-    return PiecewisePolynomial(grid, tuple(coeffs), atoms), float(np.sum(np.abs(weights))) / fact
+    return PiecewisePolynomial(grid, coeffs, atoms), float(np.sum(np.abs(weights))) / fact
 
 
 def _sum_kernels(nodes, weights, m, hull):

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,10 @@ class TestConfig:
     def test_defaults_validate(self):
         cfg = ExperimentConfig.load(None)
         cfg.validate()
+
+    def test_built_in_defaults_match_the_shipped_config(self):
+        shipped = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+        assert ExperimentConfig.load(None) == ExperimentConfig.load(str(shipped))
 
     def test_n_gate(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -118,6 +125,14 @@ class TestScalingOrder:
         checks = {c["id"]: c for c in json.loads((out / "report.json").read_text())["suites"]["bounds"]["checks"]}
         assert checks["ssf.scaling_order_odd"]["pass"] and checks["ssf.scaling_order_even"]["pass"]
 
+    def test_bounds_passes_at_n_3(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 3}))
+        out = tmp_path / "out"
+        assert run_cli(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+        checks = {c["id"]: c for c in json.loads((out / "report.json").read_text())["suites"]["bounds"]["checks"]}
+        assert checks["ssf.scaling_order_odd"]["pass"] and checks["ssf.scaling_order_even"]["pass"]
+
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_order_check_fails_on_a_norm_floor(self, tmp_path, monkeypatch, parity):
         # a constant added to every weighted norm flattens the small-t order.
@@ -148,3 +163,11 @@ class TestDeterminism:
                 f.name: f.read_bytes() for f in sorted(out.iterdir())
             }
         assert blobs["a"] == blobs["b"] == blobs["c"] == blobs["d"]
+
+
+class TestStartup:
+    def test_import_loads_no_scipy(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        code = "import sys, opshift, opshift.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -1,15 +1,21 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from opshift.cov import WeightedTraceMeasure, eigen_tuple_density
+from opshift.ensembles import random_hermitian, random_pair, rng_stream
 from opshift.errors import ValidationError
-from opshift.functions import GaussianFunction, bump
+from opshift.functions import GaussianFunction, PolynomialFunction, bump
 from opshift.piecewise import (
     DiscreteMeasure,
     PiecewisePolynomial,
     integral_against_derivative,
     weighted_abs_integral,
 )
+from opshift.ssf import remainder_pattern, ssf_compute
 
 
 def random_pp(rng, n_intervals=4, degree=3, tails=False):
@@ -165,3 +171,125 @@ class TestDiscreteMeasure:
         mu = DiscreteMeasure(np.array([2.0]), np.array([1.0]))
         xi = mu.cumulative(lambda pts: (pts - 1j) ** 2)
         assert xi(3.0) == pytest.approx((2.0 - 1j) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# the split Gauss-Legendre rule against mpmath.quad
+
+
+def _mp_piece(c, lo, hi):
+    """The interval's polynomial in mpmath, from its midpoint-centered row."""
+    mid = (mpmath.mpf(lo) + mpmath.mpf(hi)) / 2
+    rev = [mpmath.mpc(complex(v)) for v in c][::-1]
+    return lambda x: mpmath.polyval(rev, x - mid)
+
+
+def _mp_integral(pp, integrand, extra_cuts=lambda p, lo, hi: ()):
+    """Sum over the intervals of mpmath.quad of integrand(x, p(x)), split
+    at the breakpoints and at extra_cuts(p, lo, hi)."""
+    total = mpmath.mpf(0)
+    with mpmath.workdps(30):
+        for lo, hi, c in zip(pp.breakpoints[:-1], pp.breakpoints[1:], pp.coeffs):
+            p = _mp_piece(c, lo, hi)
+            pts = sorted({mpmath.mpf(lo), mpmath.mpf(hi), *extra_cuts(p, lo, hi)})
+            total += mpmath.quad(lambda x: integrand(x, p(x)), pts)
+    return complex(total)
+
+
+def _sign_changes(p, lo, hi):
+    """Roots of Re p where it changes sign on a fine grid, plus 0 for |x|."""
+    xs = [mpmath.mpf(float(x)) for x in np.linspace(lo, hi, 401)]
+    vals = [mpmath.re(p(x)) for x in xs]
+    roots = [mpmath.findroot(lambda x: mpmath.re(p(x)), (a, b), solver="anderson")
+             for a, b, va, vb in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]) if va * vb < 0]
+    return roots + ([mpmath.mpf(0)] if lo < 0.0 < hi else [])
+
+
+def _small_t_density(seed, d, m, t):
+    H, V = random_pair(rng_stream(seed, 0), d, 1.0, 0.5)
+    return ssf_compute(H, t * V, m).density
+
+
+class TestSplitGaussRule:
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_weighted_abs_integral_at_tiny_t(self, m):
+        density = _small_t_density(80 + m, 3, m, 2.0**-8)
+        w = 4 * ((m + 1) // 2) + (2 if m % 2 else 3)
+        got = weighted_abs_integral(density, w)
+        ref = _mp_integral(density, lambda x, p: abs(mpmath.re(p)) * (1 + abs(x)) ** -w, _sign_changes).real
+        assert ref > 0.0
+        assert abs(got - ref) <= 1e-12 * ref
+
+    def test_weighted_trace_measure_norm_on_a_complex_density(self):
+        rng = rng_stream(85, 0)
+        H, V = random_pair(rng, 3, 1.0, 0.5)
+        U0 = random_hermitian(rng, 3).entries @ random_hermitian(rng, 3).entries
+        ops, args = remainder_pattern(H, V, 3)
+        density, _ = eigen_tuple_density(U0, list(args), list(ops))
+        assert np.max(np.abs(density.coeffs.imag)) > 1e-3 * np.max(np.abs(density.coeffs))
+        got = WeightedTraceMeasure(density, 5).norm()
+        ref = _mp_integral(density, lambda x, p: abs(p) * (1 + x * x) ** mpmath.mpf(-2.5)).real
+        assert abs(got - ref) <= 1e-12 * ref
+
+    def test_gaussian_at_close_knots(self):
+        density = _small_t_density(86, 3, 4, 2.0**-8)
+        assert np.min(np.diff(density.breakpoints)) < 1e-3
+        g = GaussianFunction(float(np.mean(density.breakpoints)), 0.05)
+        order = 4
+        got = integral_against_derivative(g, order, density)
+        s2 = mpmath.sqrt(2) * mpmath.mpf(g.width)
+
+        def g_deriv(x):  # d^k/dx^k exp(-y^2), y = (x - c)/(sqrt(2) w)
+            y = (x - mpmath.mpf(g.center)) / s2
+            return (-1 / s2) ** order * mpmath.hermite(order, y) * mpmath.exp(-y * y)
+
+        ref = _mp_integral(density, lambda x, p: g_deriv(x) * p)
+        scale = _mp_integral(density, lambda x, p: abs(g_deriv(x) * p)).real
+        assert abs(got - ref) <= 1e-13 * scale
+
+    def test_bump_needs_more_than_twenty_nodes(self):
+        # f^(3) (degree 3 between the kinks) times x^41 has degree 44,
+        # above the 39 that 20 nodes integrate exactly: 20 nodes err by 1e-9
+        f = bump(-1.0, 1.2, smoothness=2)
+        pp = PiecewisePolynomial(np.array([-1.5, 1.5]), (np.eye(42)[41],))
+        got = integral_against_derivative(f, 3, pp)
+        with mpmath.workdps(30):
+            # prefactor * (half^2 - s^2)^3 in s = x - mid, differentiated three times
+            mid, half, power = mpmath.mpf(0.1), mpmath.mpf(1.1), f.smoothness + 1
+            poly = [0] * (2 * power + 1)
+            for j in range(power + 1):
+                poly[2 * j] = mpmath.mpf(f.prefactor[0].real) * math.comb(power, j) * (-1) ** j * half ** (2 * (power - j))
+            deriv = [poly[i] * math.perm(i, 3) for i in range(3, len(poly))][::-1]
+
+        def f3(x):
+            return mpmath.polyval(deriv, x - mid) if f.a < x < f.b else mpmath.mpf(0)
+
+        def kinks(p, lo, hi):
+            return [mpmath.mpf(k) for k in f.kink_points]
+
+        ref = _mp_integral(pp, lambda x, p: f3(x) * p, kinks)
+        scale = _mp_integral(pp, lambda x, p: abs(f3(x) * p), kinks).real
+        assert abs(got - ref) <= 1e-13 * scale
+
+    def test_polynomial_factor(self):
+        coeffs = (0.3, -1.2, 0.5, 2.0, -0.7, 0.1, 0.05, -0.02)
+        f = PolynomialFunction(coeffs)
+        pp = random_pp(np.random.default_rng(88), n_intervals=6, degree=4)
+        got = integral_against_derivative(f, 2, pp)
+        rev = [mpmath.mpf(c) for c in coeffs][::-1]
+        ref = _mp_integral(pp, lambda x, p: mpmath.diff(lambda y: mpmath.polyval(rev, y), x, 2) * p)
+        scale = _mp_integral(pp, lambda x, p: abs(p)).real
+        assert abs(got - ref) <= 1e-13 * scale
+
+    def test_tail_at_or_above_the_order_is_rejected(self):
+        # by parts needs deg tail < order; a constant tail against f itself does not decay away
+        step = PiecewisePolynomial.step(np.array([-1.0, 1.0]), [2.0], left_value=0.0, right_value=3.0)
+        with pytest.raises(ValidationError):
+            integral_against_derivative(GaussianFunction(0.0, 1.0), 0, step)
+        ramp = step.antiderivative(0.0)
+        with pytest.raises(ValidationError):
+            integral_against_derivative(GaussianFunction(0.0, 1.0), 1, ramp)
+        assert integral_against_derivative(GaussianFunction(0.0, 1.0), 2, ramp) == pytest.approx(
+            quad(lambda x: np.real(GaussianFunction(0.0, 1.0).eval_deriv(2, x) * ramp(x)), -np.inf, np.inf)[0],
+            abs=1e-9,
+        )

@@ -49,10 +49,16 @@ def test_moi_remainder_matches_resolvent_oracle(m, d):
     assert oracles.relative_error(out, ref) <= TOLERANCE
 
 
-@pytest.mark.parametrize("m", [3, 4, 5])
-@pytest.mark.parametrize("d", [2, 3])
-def test_shift_density_trace_matches_resolvent_oracle(m, d):
+# (d, m, t) with V scaled by t; the t = 1 cases keep their "d-m" ids
+_TRACE_CASES = [(d, m, t) for t in (1.0, 2.0**-4, 2.0**-8) for d in (2, 3) for m in (3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize(
+    "d, m, t", _TRACE_CASES, ids=[f"{d}-{m}" + ("" if t == 1.0 else f"-t{t:g}") for d, m, t in _TRACE_CASES]
+)
+def test_shift_density_trace_matches_resolvent_oracle(d, m, t):
     H, V, poles = _instance([2, m, d], d, 0.5)
+    V = HermitianOperator(t * V.entries)
     integral = ssf_compute(H, V, m).integrate_against(rational_from_poles(poles))
     ref, scale = oracles.rational_remainder_trace(poles, H.entries, V.entries, m)
     assert scale > 0.0
