@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ValidationError
 from .functions import TestFunction, _merge_rows, divided_difference, peano_kernel, weight_multiply
 from .linalg import HermitianOperator, schatten_norm
-from .moi import MoiSymbol, OperatorTuple, check_tuple_budget, moi_eval
+from .moi import MoiSymbol, OperatorTuple, _cluster_sum, _eigenbasis_chain, _group_rows, moi_eval
 from .piecewise import PiecewisePolynomial, _weighted_modulus, integral_against_derivative
 
 __all__ = [
@@ -465,95 +465,48 @@ def kernel_sum_density(U0, Us, Hs):
     return _sum_kernels(*_tuple_weights(U0, Us, Hs), len(Us), _hull(Hs))
 
 
-# elements per intermediate array of the cycle product: _tuple_weights takes
-# the clusters of H_0 in chunks, so its memory stays near 16 bytes * 2**18 = 4 MB
-_CYCLE_CHUNK = 2**18
-
-
 def _tuple_weights(U0, Us, Hs):
-    """Tr(U_0 P_{j0} U_1 ... U_m P_{jm}) summed by sorted node multiset.
-
-    With X_k the eigenvectors of H_k, the rank-one tuple (i_0..i_m) has
-    weight F_1[i_0,i_1] ... F_m[i_{m-1},i_m] Z[i_m,i_0], where
-    F_k = X_{k-1}^* U_k X_k and Z = X_m^* U_0 X_0; a cluster tuple's weight
-    is the sum over the columns of its clusters.  When H_m is H_0 and U_0
-    is the identity (the remainder pattern) Z is exactly I, so only the
-    cycles j_m = j_0 carry weight and no round-off kernel appears.
-    Returns (nodes, weights): the distinct sorted node rows, shape
-    (kernels, m+1) in ascending lexicographic order, and their summed
-    complex weights; cluster tuples of weight exactly 0 are left out.
-    """
+    """Tr(U_0 P_{j0} U_1 ... U_m P_{jm}) summed by sorted node multiset: each
+    open chain of :func:`opshift.moi._eigenbasis_chain` closed by Z[i_m,i_0],
+    Z = X_m^* U_0 X_0, with i_m and i_0 summed into their clusters.  On the
+    remainder pattern (H_m is H_0, U_0 = I) Z is exactly I, so only the
+    cycles j_m = j_0 carry weight.  Returns (nodes, weights): the distinct
+    sorted node rows, shape (kernels, m+1), ascending, and their summed
+    complex weights; cluster tuples of weight exactly 0 are left out."""
     m = len(Us)
     if len(Hs) != m + 1:
         raise ValidationError("need m+1 operators")
-    decs = check_tuple_budget(Hs)
     mats = [np.asarray(u.entries if isinstance(u, HermitianOperator) else u, dtype=complex) for u in Us]
     u0 = np.asarray(U0.entries if isinstance(U0, HermitianOperator) else U0, dtype=complex)
+    decs, starts, values, codes, chunks = _eigenbasis_chain(Hs, mats)
     dim = len(u0)
-    xs = [d.eigenvectors for d in decs]
-    factors = [xs[k].conj().T @ mats[k] @ xs[k + 1] for k in range(m)]
-    if Hs[-1] is Hs[0] and np.array_equal(u0, np.eye(dim)):
-        closing = np.eye(dim, dtype=complex)
-    else:
-        closing = xs[-1].conj().T @ u0 @ xs[0]
-    starts = [np.flatnonzero(np.diff(d.labels, prepend=-1)) for d in decs]  # first column of each cluster
-    # nodes as indices into the sorted distinct eigenvalues: sorting and
-    # grouping these integer rows sorts and groups the node values
-    values, codes = np.unique(np.concatenate([d.eigenvalues for d in decs]), return_inverse=True)
-    codes = np.split(codes, np.cumsum([len(d.eigenvalues) for d in decs])[:-1])
-    # widest intermediate of _cycle_block per column of H_0
-    counts = [len(s) for s in starts]
-    widest = max([math.prod(counts[1:k]) * dim * dim for k in range(1, m)] + [math.prod(counts[1:m]) * dim])
-    edges = np.append(starts[0], dim)
-    step = max(1, _CYCLE_CHUNK // (widest * int(np.max(np.diff(edges)))))
+    remainder = Hs[-1] is Hs[0] and np.array_equal(u0, np.eye(dim))
+    closing = np.eye(dim, dtype=complex) if remainder else decs[-1].eigenvectors.conj().T @ u0 @ decs[0].eigenvectors
     groups = []
-    for j in range(0, counts[0], step):  # chunks of whole clusters of H_0
-        block = _cycle_block(factors, closing, starts, edges[j], edges[min(j + step, counts[0])])
+    for lo, hi, chain in chunks:
+        if m:
+            close = closing.T[lo:hi].reshape((hi - lo,) + (1,) * (m - 1) + (dim,))
+            block = _cluster_sum(chain * close, starts[m], -1)
+        else:
+            block = np.diagonal(closing)[lo:hi]
+        block = _cluster_sum(block, starts[0][(starts[0] >= lo) & (starts[0] < hi)] - lo, 0)
         hit = np.nonzero(block)
-        rows = np.stack([codes[0][j + hit[0]]] + [codes[k][hit[k]] for k in range(1, m + 1)], axis=1)
-        groups.append(_group_rows(rows, block[hit]))
-    keys, weights = groups[0] if len(groups) == 1 else _group_rows(*map(np.concatenate, zip(*groups)))
+        rows = np.stack([codes[0][decs[0].labels[lo] + hit[0]]] + [codes[k][hit[k]] for k in range(1, m + 1)], axis=1)
+        keys, group = _group_rows(rows)
+        groups.append((keys, _group_sums(group, block[hit], len(keys))))
+    keys, weights = groups[0]
+    if len(groups) > 1:
+        keys, group = _group_rows(np.concatenate([k for k, _ in groups]))
+        weights = _group_sums(group, np.concatenate([w for _, w in groups]), len(keys))
     return values[keys], weights
 
 
-def _cycle_block(factors, closing, starts, lo, hi):
-    """Cluster-tuple weights of the H_0 clusters in columns [lo, hi): shape
-    (their count, c_1, ..., c_m).  Each eigenbasis index i_k is summed into
-    its cluster j_k as soon as F_{k+1} has been applied, so the product
-    never holds more than two open eigenbasis indices besides i_0."""
-    m = len(factors)
-    if m == 0:
-        block = np.diagonal(closing)[lo:hi]
-    else:
-        block = factors[0][lo:hi]
-        for k in range(1, m):
-            block = _cluster_sum(block[..., None] * factors[k], starts[k], -2)
-        close = closing.T[lo:hi].reshape((hi - lo,) + (1,) * (m - 1) + (len(closing),))
-        block = _cluster_sum(block * close, starts[m], -1)
-    first = starts[0][(starts[0] >= lo) & (starts[0] < hi)]
-    return _cluster_sum(block, first - lo, 0)
-
-
-def _cluster_sum(a, starts, axis):
-    """Sum the runs of entries along ``axis`` that start at ``starts``."""
-    return a if len(starts) == a.shape[axis] else np.add.reduceat(a, starts, axis=axis)
-
-
-def _group_rows(rows, weights):
-    """Sort each row, then sum the weights of equal rows.  Returns (the
-    distinct rows in ascending lexicographic order, their summed weights).
-    A lexsort on the columns does what ``np.unique(axis=0)`` does, about
-    five times faster, since that sorts the rows as opaque byte strings."""
-    rows = np.sort(rows, axis=1)
-    order = np.lexsort(rows.T[::-1])
-    rows, weights = rows[order], weights[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    group = np.cumsum(first) - 1
-    sums = np.empty(int(first.sum()), dtype=complex)
-    sums.real = np.bincount(group, weights.real, len(sums))
-    sums.imag = np.bincount(group, weights.imag, len(sums))
-    return rows[first], sums
+def _group_sums(group, weights, count):
+    """Complex weights summed by group, in input order within each group."""
+    sums = np.empty(count, dtype=complex)
+    sums.real = np.bincount(group, weights.real, count)
+    sums.imag = np.bincount(group, weights.imag, count)
+    return sums
 
 
 # elements per Cox-de Boor level array: _fold_kernels takes the kernels in
@@ -579,9 +532,7 @@ def _fold_kernels(nodes, weights, m, hull):
     point = zs[:, 0] == zs[:, -1]
     atom_x, where = np.unique(zs[point, 0], return_inverse=True)
     masses = weights[point] / fact
-    atom_mass = np.empty(len(atom_x), dtype=complex)
-    atom_mass.real = np.bincount(where, masses.real, len(atom_x))
-    atom_mass.imag = np.bincount(where, masses.imag, len(atom_x))
+    atom_mass = _group_sums(where, masses, len(atom_x))
     knots, weights_k = zs[~point], weights[~point]
     grid = np.union1d(knots.ravel(), atom_x)
     lo, mid = grid[:-1], 0.5 * (grid[:-1] + grid[1:])

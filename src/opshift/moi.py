@@ -6,9 +6,9 @@ sum over eigenvalue-cluster tuples,
     T_phi(V_1, ..., V_p) = sum phi(lam_{j0}, ..., lam_{jp})
                                P_{j0} V_1 P_{j1} ... V_p P_{jp},
 
-which this module evaluates with a deterministic reduction order.  On
-top of the evaluator sit higher-order operator derivatives, Taylor
-remainders in both their direct and integral forms, and the
+which one eigenbasis chain evaluates for :func:`moi_eval` and for the
+density weights of :mod:`opshift.cov`.  On top sit higher-order operator
+derivatives, Taylor remainders in direct and integral forms, and the
 one-slot perturbation identity.
 """
 
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, ValidationError
+from .errors import BudgetError, ValidationError
 from .functions import TestFunction, divided_difference, weight_multiply
-from .linalg import HermitianOperator, func_calculus, schatten_norm
+from .linalg import HermitianOperator, _check_poles_off, func_calculus, schatten_norm
 
 __all__ = [
     "MoiSymbol",
@@ -56,18 +56,6 @@ class MoiSymbol:
     @property
     def weighted(self) -> TestFunction:
         return self._weighted
-
-    def value(self, nodes, cache=None):
-        if len(nodes) != self.order + 1:
-            raise ValidationError("node count must equal order + 1")
-        if cache is None:
-            return divided_difference(self._weighted, nodes)
-        key = tuple(sorted(float(v) for v in nodes))
-        hit = cache.get(key)
-        if hit is None:
-            hit = divided_difference(self._weighted, key)
-            cache[key] = hit
-        return hit
 
 
 @dataclass(frozen=True)
@@ -116,7 +104,8 @@ def check_tuple_budget(operators):
 
 
 def eigen_tuples(operators, arguments):
-    """Yield (nodes, product) for every eigen-tuple with a nonzero product.
+    """Reference loop: yield (nodes, product) for every eigen-tuple with a
+    nonzero product.  No evaluator calls it; the tests compare against it.
 
     For operators H_0..H_p with clustered spectral projections P^k_j and
     arguments A_1..A_p, the product of the tuple (j_0, ..., j_p) is
@@ -149,32 +138,93 @@ def eigen_tuples(operators, arguments):
         yield from extend(0, a, (eigs[0][a],), proj if p == 0 else None)
 
 
-def moi_eval(symbol: MoiSymbol, optuple: OperatorTuple) -> np.ndarray:
-    """Exact spectral-sum evaluation of the operator integral.
+# elements per intermediate array of an eigenbasis chain: the clusters of H_0
+# are taken in chunks, so its memory stays near 16 bytes * 2**18 = 4 MB
+_CYCLE_CHUNK = 2**18
 
-    Terms are summed in the fixed lexicographic order of
-    :func:`eigen_tuples`, so the result is reproducible bit for bit.
-    Symbol values are cached per sorted node tuple (divided differences
-    are symmetric, and the remainder pattern repeats node multisets).
-    """
+
+def _eigenbasis_chain(operators, arguments, per_entry=1):
+    """The eigen-tuple sum in the eigenbases X_k of the H_k, where the tuple
+    (i_0..i_p) of columns carries X_0[:, i_0] F_1[i_0,i_1] ... F_p[i_{p-1},i_p]
+    X_p[:, i_p]^*, F_k = X_{k-1}^* A_k X_k.  Checks the budget first.
+    Returns (decs, starts, values, codes, chunks): the decompositions, each
+    H_k's first column per cluster, the sorted distinct eigenvalues, each
+    H_k's cluster nodes as indices into them, and (lo, hi, _chain_block)
+    per chunk of whole H_0 clusters, whose widest array holds
+    ``_CYCLE_CHUNK // per_entry`` elements or one cluster."""
+    decs = check_tuple_budget(operators)
+    p, xs = len(arguments), [d.eigenvectors for d in decs]
+    factors = [xs[k].conj().T @ arguments[k] @ xs[k + 1] for k in range(p)]
+    starts = [np.flatnonzero(np.diff(d.labels, prepend=-1)) for d in decs]
+    values, codes = np.unique(np.concatenate([d.eigenvalues for d in decs]), return_inverse=True)
+    codes = np.split(codes.astype(np.int32), np.cumsum([len(d.eigenvalues) for d in decs])[:-1])
+    # widest intermediate of _chain_block and of its callers per column of H_0
+    counts, dim = [len(s) for s in starts], len(xs[0])
+    widest = max([math.prod(counts[1:k]) * dim * dim for k in range(1, p)] + [math.prod(counts[1:p]) * dim])
+    edges = np.append(starts[0], dim)
+    step = max(1, _CYCLE_CHUNK // (per_entry * widest * int(np.max(np.diff(edges)))))
+    bounds = [(edges[j], edges[min(j + step, counts[0])]) for j in range(0, counts[0], step)]
+    chunks = ((lo, hi, _chain_block(factors, starts, lo, hi) if p else None) for lo, hi in bounds)
+    return decs, starts, values, codes, chunks
+
+
+def _chain_block(factors, starts, lo, hi):
+    """Open chain (i_0, j_1, ..., j_{p-1}, i_p) of the H_0 columns [lo, hi): each
+    i_k is summed into its cluster j_k once F_{k+1} is applied."""
+    chain = factors[0][lo:hi]
+    for k in range(1, len(factors)):
+        chain = _cluster_sum(chain[..., None] * factors[k], starts[k], -2)
+    return chain
+
+
+def _cluster_sum(a, starts, axis):
+    """Sum the runs of entries along ``axis`` that start at ``starts``."""
+    return a if len(starts) == a.shape[axis] else np.add.reduceat(a, starts, axis=axis)
+
+
+def _group_rows(rows):
+    """Sort each row in place and number the distinct rows: (the distinct rows
+    in ascending lexicographic order, each row's group).  A column lexsort is
+    about five times faster than ``np.unique(axis=0)`` on byte strings."""
+    rows.sort(axis=1)
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    group = np.empty(len(rows), dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    return rows[first], group
+
+
+def moi_eval(symbol: MoiSymbol, optuple: OperatorTuple) -> np.ndarray:
+    """Exact spectral-sum evaluation of the operator integral: per chunk of
+    :func:`_eigenbasis_chain`, the symbol is evaluated once per distinct
+    sorted node row of the nonzero chain entries (cached across chunks) and
+    the weighted chain is summed over its inner axes into core[i_0, i_p];
+    returns X_0 core X_p^*, every reduction in a fixed order."""
     p = optuple.order
     if symbol.order != p:
         raise ValidationError("symbol order must match the argument count")
-    all_eigs = np.concatenate([h.decomposition().eigenvalues for h in optuple.operators])
-    _check_symbol_poles(symbol, all_eigs)
+    f = symbol.weighted
+    _check_poles_off(f, np.concatenate([h.decomposition().eigenvalues for h in optuple.operators]), "operator spectra")
     if p == 0:
-        return func_calculus(symbol.weighted, optuple.operators[0])
-    cache = {}
-    out = np.zeros((optuple.dim, optuple.dim), dtype=complex)
-    for nodes, prod in eigen_tuples(optuple.operators, optuple.arguments):
-        out += symbol.value(nodes, cache) * prod
-    return out
-
-
-def _check_symbol_poles(symbol, eigenvalues):
-    for z in symbol.weighted.poles():
-        if min(abs(complex(z) - lam) for lam in eigenvalues) < 1e-12:
-            raise DomainError(f"symbol pole {z} lies on an operator spectrum")
+        return func_calculus(f, optuple.operators[0])
+    # chunks 16(p+1) times smaller: each entry carries p+1 node codes through sorted copies
+    decs, _, values, codes, chunks = _eigenbasis_chain(optuple.operators, optuple.arguments, 16 * (p + 1))
+    head, tail = codes[0][decs[0].labels], codes[p][decs[p].labels]  # node code per column
+    cache, core = {}, np.zeros((optuple.dim, optuple.dim), dtype=complex)
+    for lo, hi, chain in chunks:
+        hit = np.flatnonzero(chain)
+        columns = [head[lo:hi], *codes[1:p], tail]
+        keys, group = _group_rows(np.stack([c[i] for c, i in zip(columns, np.unravel_index(hit, chain.shape))], axis=1))
+        rows = list(map(tuple, keys.tolist()))
+        for row, nodes in zip(rows, values[keys].tolist()):
+            if row not in cache:
+                cache[row] = divided_difference(f, nodes)
+        terms = np.zeros(chain.shape, dtype=complex)
+        terms.flat[hit] = np.array([cache[row] for row in rows])[group] * chain.flat[hit]
+        core[lo:hi] = terms.sum(axis=tuple(range(1, p)))
+    return decs[0].eigenvectors @ core @ decs[p].eigenvectors.conj().T
 
 
 def moi_eval_separated_rational(symbol: MoiSymbol, optuple: OperatorTuple) -> np.ndarray:
@@ -214,10 +264,7 @@ def frechet_derivative(f: TestFunction, H: HermitianOperator, V, k: int) -> np.n
     """k-th Taylor coefficient (1/k!) d^k/dt^k f(H + tV) at t = 0."""
     if k < 0:
         raise ValidationError("derivative order must be nonnegative")
-    if k == 0:
-        return func_calculus(f, H)
-    vt = OperatorTuple((H,) * (k + 1), (V,) * k)
-    return moi_eval(MoiSymbol(f, 0, k), vt)
+    return moi_eval(MoiSymbol(f, 0, k), OperatorTuple((H,) * (k + 1), (V,) * k))
 
 
 def taylor_remainder(f: TestFunction, H: HermitianOperator, V: HermitianOperator, n: int, method="direct") -> np.ndarray:

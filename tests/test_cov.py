@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from opshift import cov
+from opshift import cov, moi
 from opshift.cov import (
     EpsilonSignature,
     alternating_signature,
@@ -543,9 +543,9 @@ class TestCycleWeights:
         Hs[0] = _degenerate_case(93, 5, 1)[2][0]  # eigenvalues -1, 0, 0, 0, 1
         whole, _ = eigen_tuple_density(U0, Us, Hs)
         blocks = []
-        cycle_block = cov._cycle_block
-        monkeypatch.setattr(cov, "_cycle_block", lambda *a: blocks.append(a[3:]) or cycle_block(*a))
-        monkeypatch.setattr(cov, "_CYCLE_CHUNK", 1)
+        chain_block = moi._chain_block
+        monkeypatch.setattr(moi, "_chain_block", lambda *a: blocks.append(a[2:]) or chain_block(*a))
+        monkeypatch.setattr(moi, "_CYCLE_CHUNK", 1)
         chunked, _ = eigen_tuple_density(U0, Us, Hs)
         assert blocks == [(0, 1), (1, 4), (4, 5)]  # one chunk per cluster of H_0
         assert _fold_error(chunked, whole) <= 1e-14

@@ -8,6 +8,7 @@ import pytest
 from opshift.errors import ValidationError
 from opshift.functions import (
     NODE_MERGE_RELTOL,
+    BumpFunction,
     GaussianFunction,
     PolynomialFunction,
     bump,
@@ -148,6 +149,29 @@ class TestDividedDifference:
         f = bump(-1.0, 1.0, smoothness=2)
         with pytest.raises(ValidationError):
             divided_difference(f, [1.0, 1.0, 1.0, 1.0, 1.0])
+
+
+class TestBumpDerivatives:
+    @pytest.mark.parametrize("smoothness", [6, 22])
+    def test_near_kinks_match_mpmath(self, smoothness):
+        # the monomial expansion of q(s) ((x-a)(b-x))^(s+1) cancels near the
+        # kinks and errs by 3.7e5 (s = 6) and 8.7e52 (s = 22) on these points;
+        # this prefactor keeps |q| >= 0.8 there, so the bound measures the
+        # kink factors and not the rounding of q near one of its roots
+        a, b = -0.9, 1.1
+        pre = tuple(np.random.default_rng(5).uniform(-1.0, 1.0, 31))
+        f = BumpFunction(a, b, smoothness, pre)
+        with mpmath.workdps(80):
+            mid = (mpmath.mpf(a) + mpmath.mpf(b)) / 2
+
+            def exact(x):
+                q = sum(mpmath.mpf(c) * (x - mid) ** n for n, c in enumerate(pre))
+                return q * ((x - a) * (b - x)) ** (smoothness + 1)
+
+            for x in (a + 1e-2, a + 1e-3, b - 1e-2, b - 1e-3):
+                for order in range(4):
+                    ref = complex(mpmath.diff(exact, mpmath.mpf(x), order))
+                    assert abs(f.eval_deriv(order, x) - ref) <= 1e-12 * abs(ref)
 
 
 class TestWeightMultiply:

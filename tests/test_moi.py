@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ from scipy.integrate import quad
 
 from opshift.errors import BudgetError, DomainError, ValidationError
 from opshift.ensembles import random_hermitian, random_pair, rng_stream
-from opshift.functions import GaussianFunction, PolynomialFunction, rational_from_poles
+from opshift import moi
+from opshift.functions import GaussianFunction, PolynomialFunction, bump, divided_difference, rational_from_poles
 from opshift.linalg import HermitianOperator, func_calculus, schatten_norm
 from opshift.moi import (
     MoiSymbol,
     OperatorTuple,
+    eigen_tuples,
     frechet_derivative,
     moi_eval,
     moi_eval_separated_rational,
@@ -120,6 +123,123 @@ class TestMoiEval:
             ratios.append(schatten_norm(out, 2.0) / denom)
         assert all(np.isfinite(r) for r in ratios)
         assert max(ratios) < 1e3
+
+
+def _reference_sum(symbol, optuple):
+    """The operator integral over moi.eigen_tuples, one tuple at a time, and
+    the symbol value at every distinct sorted node row that loop reaches."""
+    out = np.zeros((optuple.dim, optuple.dim), dtype=complex)
+    values = {}
+    for nodes, prod in eigen_tuples(optuple.operators, optuple.arguments):
+        row = tuple(sorted(nodes))
+        if row not in values:
+            values[row] = divided_difference(symbol.weighted, row)
+        out += values[row] * prod
+    return out, values
+
+
+_SYMBOLS = {
+    "rational": rational_from_poles([0.3 + 0.9j, 0.3 - 0.9j, -0.5 + 1.4j]),
+    "gaussian": GaussianFunction(0.2, 0.9, (1.0, -0.4, 0.3)),
+    "bump": bump(-3.0, 3.0, smoothness=8, prefactor=(1.0, 0.5)),
+    "polynomial": PolynomialFunction((0.3, -1.0, 0.5, 0.2, -0.7, 0.1, 0.4, -0.2, 0.05)),
+}
+
+
+def _conjugated(rng, eigenvalues):
+    d = len(eigenvalues)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return HermitianOperator(q @ np.diag(eigenvalues) @ q.conj().T)
+
+
+def _distinct_slots(seed, d, p):
+    rng = rng_stream(seed, 0)
+    return [random_hermitian(rng, d, 1.0) for _ in range(p + 1)], [random_hermitian(rng, d, 0.5).entries for _ in range(p)]
+
+
+def _clustered_slots(gap):
+    # pairs of eigenvalues `gap` apart in unrelated eigenbases per slot
+    def build(seed, d, p):
+        rng = rng_stream(seed, 1)
+        base = np.linspace(-0.8, 0.8, (d + 1) // 2)
+        ev = np.sort(np.concatenate([base, base[: d // 2] + gap]))
+        return [_conjugated(rng, ev) for _ in range(p + 1)], [random_hermitian(rng, d, 0.5).entries for _ in range(p)]
+
+    return build
+
+
+def _diagonal_slots(seed, d, p):
+    # every block off the diagonal of the eigenbasis is exactly zero
+    rng = rng_stream(seed, 2)
+    Hs = [HermitianOperator(np.diag(rng.uniform(-1.0, 1.0, d))) for _ in range(p + 1)]
+    return Hs, [np.diag(rng.uniform(-0.5, 0.5, d)).astype(complex) for _ in range(p)]
+
+
+def _commuting_slots(seed, d, p):
+    H = random_hermitian(rng_stream(seed, 3), d, 1.0)
+    h = H.entries
+    return [H] * (p + 1), [h @ h - 0.3 * h + 0.1 * np.eye(d)] * p
+
+
+def _zero_slots(seed, d, p):
+    return _distinct_slots(seed, d, p)[0], [np.zeros((d, d), dtype=complex)] * p
+
+
+# d in {1, 2, 5, 8} and p in 1..6 wherever the reference loop stays within
+# 4096 tuples (test_range checks d = 8 up to p = 5 against mpmath)
+_ENGINE_SHAPES = [(d, p) for d in (1, 2, 5, 8) for p in range(1, 7) if d ** (p + 1) <= 4096]
+_SPECTRA = {
+    "clustered-1e-11": _clustered_slots(1e-11),
+    "separated-1e-7": _clustered_slots(1e-7),
+    "diagonal": _diagonal_slots,
+    "commuting": _commuting_slots,
+    "zero-V": _zero_slots,
+}
+
+
+class TestEngineAgainstReference:
+    """moi_eval's eigenbasis chain against the per-tuple projection loop."""
+
+    @staticmethod
+    def _compare(monkeypatch, kind, Hs, Vs):
+        symbol = MoiSymbol(_SYMBOLS[kind], 0, len(Vs))
+        optuple = OperatorTuple(tuple(Hs), tuple(Vs))
+        ref, ref_values = _reference_sum(symbol, optuple)
+        calls = []
+
+        def counted(f, nodes):  # the reference's value where it has one, to halve the run time
+            calls.append(nodes)
+            row = tuple(nodes)
+            return ref_values[row] if row in ref_values else divided_difference(f, nodes)
+
+        monkeypatch.setattr(moi, "divided_difference", counted)
+        got = moi_eval(symbol, optuple)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * (1.0 + np.max(np.abs(ref)))
+        assert len(calls) <= len(ref_values)
+
+    @pytest.mark.parametrize("kind", sorted(_SYMBOLS))
+    @pytest.mark.parametrize("d, p", _ENGINE_SHAPES)
+    def test_distinct_operators_per_slot(self, monkeypatch, kind, d, p):
+        self._compare(monkeypatch, kind, *_distinct_slots(200 + 10 * d + p, d, p))
+
+    @pytest.mark.parametrize("kind", sorted(_SYMBOLS))
+    @pytest.mark.parametrize("spectrum", sorted(_SPECTRA))
+    @pytest.mark.parametrize("d, p", [(5, 3), (8, 2)])
+    def test_special_spectra(self, monkeypatch, kind, spectrum, d, p):
+        self._compare(monkeypatch, kind, *_SPECTRA[spectrum](300 + 10 * d + p, d, p))
+
+    def test_remainder_peak_memory_stays_under_one_megabyte(self):
+        # the chunks over H_0 clusters bound the node-code rows; with the whole
+        # d^(m+1) grid in one chunk the peak is above 3 MB
+        H, V = random_pair(rng_stream(18, 0), 5, 1.0, 0.1)
+        f = rational_from_poles([0.3 + 0.9j, 0.3 - 0.9j])
+        tracemalloc.start()
+        try:
+            taylor_remainder(f, H, V, 5, "moi")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestFrechetDerivative:

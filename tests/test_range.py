@@ -1,19 +1,22 @@
-"""Range checks against the benchmark's independent oracles.
+"""Range checks against independent oracles.
 
 ``bench/oracles.py`` evaluates remainders and their traces through
 resolvent products on plain numpy arrays, sharing no evaluator with
 ``opshift``; it is loaded from its file so the reference stays a single
-copy.  Every comparison uses the benchmark's relative tolerance, on
-input classes the benchmark records as accurate.
+copy.  Those comparisons use the benchmark's relative tolerance, on
+input classes the benchmark records as accurate.  Remainders at larger
+sizes and small perturbations are checked at full precision against the
+same resolvent closed form taken in 40-digit mpmath.
 """
 
 import importlib.util
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
-from opshift import cov
+from opshift import cov, moi
 from opshift.errors import BudgetError
 from opshift.functions import rational_from_poles
 from opshift.linalg import HermitianOperator
@@ -50,6 +53,34 @@ def test_moi_remainder_matches_resolvent_oracle(m, d):
 
 
 # (d, m, t) with V scaled by t; the t = 1 cases keep their "d-m" ids
+def _mp_rational_remainder(poles, H, V, m):
+    """sum_i c_i (H+V-z_i)^-1 (-V (H-z_i)^-1)^m in 40-digit mpmath: the
+    order-m Taylor remainder of sum_i c_i / (x - z_i) = prod_i 1/(x - z_i)."""
+    with mpmath.workdps(40):
+        h, v = mpmath.matrix(H.tolist()), mpmath.matrix(V.tolist())
+        eye = mpmath.eye(len(H))
+        out = mpmath.zeros(len(H))
+        for i, z in enumerate(poles):
+            c = mpmath.mpf(1)
+            for w in poles[:i] + poles[i + 1 :]:
+                c /= mpmath.mpc(z) - mpmath.mpc(w)
+            term = mpmath.inverse(h + v - z * eye)
+            step = -v * mpmath.inverse(h - z * eye)
+            for _ in range(m):
+                term = term * step
+            out += c * term
+        return np.array(out.tolist(), dtype=complex)
+
+
+@pytest.mark.parametrize("vnorm", [1e-1, 1e-3])
+@pytest.mark.parametrize("d, m", [(3, 5), (8, 3), (8, 4), (8, 5)])
+def test_moi_remainder_matches_mpmath_closed_form(d, m, vnorm):
+    H, V, poles = _instance([6, d, m, int(-np.log10(vnorm))], d, vnorm)
+    out = taylor_remainder(rational_from_poles(poles), H, V, m, method="moi")
+    ref = _mp_rational_remainder(list(poles), H.entries, V.entries, m)
+    assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
 _TRACE_CASES = [(d, m, t) for t in (1.0, 2.0**-4, 2.0**-8) for d in (2, 3) for m in (3, 4, 5, 6)]
 
 
@@ -79,7 +110,7 @@ def test_over_budget_density_enumerates_no_tuple(monkeypatch):
     def guarded(*args):
         pytest.fail("an over-budget density built a block of tuple weights")
 
-    monkeypatch.setattr(cov, "_cycle_block", guarded)
+    monkeypatch.setattr(moi, "_chain_block", guarded)
     H, V, _ = _instance([3], 16, 0.5)
     with pytest.raises(BudgetError):
         ssf_compute(H, V, 6)
