@@ -9,7 +9,6 @@ from .errors import BudgetError, DomainError, NumericError, ValidationError
 from .linalg import (
     HermitianOperator,
     ResolventComparabilityReport,
-    SchattenIndex,
     SpectralDecomposition,
     func_calculus,
     operator_from_json,
@@ -17,7 +16,6 @@ from .linalg import (
     resolvent_comparability,
     schatten_norm,
     spectral_decompose,
-    trace,
 )
 from .functions import (
     BumpFunction,

@@ -1,7 +1,7 @@
 """Finite-rank approximation sequences and their convergence reports.
 
-A perturbation V is approximated by V_k = (rank truncation of) P_k V P_k
-with P_k the spectral projection of H onto a growing window.  On
+A perturbation V is approximated by V_k = P_k V P_k, at its numerical
+rank, with P_k the spectral projection of H onto a growing window.  On
 matrices the sequence reaches V exactly once the window covers the
 spectrum; the module validates the mechanism: norm domination,
 the factor-two Schatten bound, monotone defects, remainder-trace
@@ -42,30 +42,23 @@ class ApproximationSequence:
             raise ValidationError("terms, windows and ranks must align")
 
 
-def finite_rank_sequence(H: HermitianOperator, V: HermitianOperator, n, windows, rank_caps=None) -> ApproximationSequence:
-    """V_k = dominant-rank truncation of P_k V P_k, P_k = E_H((-w, w)).
+def finite_rank_sequence(H: HermitianOperator, V: HermitianOperator, n, windows) -> ApproximationSequence:
+    """V_k = P_k V P_k at its numerical rank, P_k = E_H((-w, w)).
 
-    Truncation keeps the eigencomponents of P_k V P_k that dominate the
-    Schatten-n content, to the smaller of the rank cap and the smallest
-    rank with truncation defect below 1/k.  Terms violating the
-    factor-two resolvent-dressed bound are dropped.
+    The rank counts the eigenvalues of P_k V P_k above 1e-14 (1 + |V|).
+    Terms violating the factor-two resolvent-dressed bound are dropped.
     """
     if len(windows) == 0:
         raise ValidationError("need at least one window")
     ws = [float(w) for w in windows]
     if any(b <= a for a, b in zip(ws, ws[1:])):
         raise ValidationError("windows must be increasing")
-    truncate = rank_caps is not None
-    if rank_caps is None:
-        rank_caps = [H.dim] * len(ws)
-    if len(rank_caps) != len(ws):
-        raise ValidationError("need one rank cap per window")
     dec = H.decomposition()
     rH = H.resolvent()
     dressed_full = schatten_norm(rH @ V.entries @ rH, n)
     spectrum_radius = float(np.max(np.abs(dec.eigenvalues)))
     terms, kept_windows, ranks, dropped = [], [], [], []
-    for k, (w, cap) in enumerate(zip(ws, rank_caps), start=1):
+    for w in ws:
         proj = np.zeros((H.dim, H.dim), dtype=complex)
         for lam, p in zip(dec.eigenvalues, dec.projections):
             if -w < lam < w:
@@ -74,22 +67,7 @@ def finite_rank_sequence(H: HermitianOperator, V: HermitianOperator, n, windows,
         compressed = 0.5 * (compressed + compressed.conj().T)
         lam_c, vec_c = np.linalg.eigh(compressed)
         order = np.argsort(-np.abs(lam_c), kind="stable")
-        natural = int(np.sum(np.abs(lam_c) > 1e-14 * (1.0 + V.norm())))
-        if truncate:
-            # smallest rank whose truncation defect in Schatten-n stays below
-            # 1/k; once the window covers the spectrum no component may go
-            threshold = 0.0 if w > spectrum_radius else 1.0 / k
-            rank = natural
-            for r in range(len(order) + 1):
-                dropped_eigs = np.abs(lam_c[order[r:]])
-                defect = float(np.sum(dropped_eigs**n) ** (1.0 / n)) if len(dropped_eigs) else 0.0
-                if defect <= threshold:
-                    rank = r
-                    break
-            rank = min(rank, int(cap))
-        else:
-            # without explicit caps the compression is kept at natural rank
-            rank = natural
+        rank = int(np.sum(np.abs(lam_c) > 1e-14 * (1.0 + V.norm())))
         if w > spectrum_radius and rank == len(order):
             # the compression is the identity conjugation; keep V bitwise
             vk = V
@@ -171,18 +149,18 @@ def convergence_report(H, V, seq: ApproximationSequence, n, choices=None):
     return rows
 
 
-def remainder_sup_experiment(H, V, seq: ApproximationSequence, m, bump_family, normalization_tol=1e-6):
+def remainder_sup_experiment(H, V, seq: ApproximationSequence, m, bump_family):
     """Per-window sup over the family of |Tr(R_m(V) - R_m(V_k))|.
 
     Family members must be normalized to sup|f^(m)| <= 1 on their
-    support (validated on a grid).
+    support (validated on a grid, to 1e-6).
     """
     if m < 3:
         raise ValidationError("the remainder comparison needs m >= 3")
     for f in bump_family:
         if f.support is None:
             raise ValidationError("family members must be compactly supported")
-        if f.sup_deriv(m) > 1.0 + normalization_tol:
+        if f.sup_deriv(m) > 1.0 + 1e-6:
             raise ValidationError("family member violates the sup|f^(m)| <= 1 normalization")
     sups = []
     base = {id(f): complex(np.trace(taylor_remainder(f, H, V, m, "direct"))) for f in bump_family}
@@ -197,9 +175,9 @@ def remainder_sup_experiment(H, V, seq: ApproximationSequence, m, bump_family, n
 
 def shift_density_convergence(H, V, seq: ApproximationSequence, m):
     """L1 distance on the spectral hull between eta_m(H, V_k) and eta_m(H, V)."""
-    eta = ssf_compute(H, V, m, "bspline")
+    eta = ssf_compute(H, V, m)
     dists = []
     for vk in seq.terms:
-        eta_k = ssf_compute(H, vk, m, "bspline")
+        eta_k = ssf_compute(H, vk, m)
         dists.append((eta.density - eta_k.density).l1_norm())
     return dists

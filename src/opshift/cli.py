@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,7 @@ from .errors import BudgetError, ValidationError
 from .functions import PolynomialFunction
 from .linalg import HermitianOperator
 from .moi import OperatorTuple, perturbation_identity, taylor_remainder
-from .ssf import remainder_pattern, ssf_compute, verify_trace_formula, weight_exponent_survey, weighted_norm_and_scaling
+from .ssf import _orders_for, remainder_pattern, ssf_compute, verify_trace_formula, weight_exponent_survey, weighted_norm_and_scaling
 
 DEFAULT_CONFIG = {
     "seed": 42,
@@ -113,19 +113,7 @@ class ExperimentConfig:
         return cfg
 
     def resolved(self):
-        return {
-            "seed": self.seed,
-            "dims": list(self.dims),
-            "n": self.n,
-            "parity": self.parity,
-            "ensemble": self.ensemble,
-            "family": self.family,
-            "scalar_samples": self.scalar_samples,
-            "operator_samples": self.operator_samples,
-            "tolerances": self.tolerances,
-            "ssf": self.ssf,
-            "approx": self.approx,
-        }
+        return asdict(self)
 
 
 def _deep_update(base, extra):
@@ -183,7 +171,8 @@ def suite_verify_identities(cfg: ExperimentConfig):
         worst = max(worst, exp.residual / exp.scale)
     _check(checks, "cov.operator", "operator expansion along random signatures", worst, tol["identity"])
 
-    for parity, m in (("odd", 2 * cfg.n - 1), ("even", 2 * cfg.n)):
+    for parity in ("odd", "even"):
+        m, _ = _orders_for(cfg.n, parity)
         worst = 0.0
         for _ in range(max(1, cfg.operator_samples // 4)):
             dim = int(rng.choice(cfg.dims))
@@ -229,7 +218,7 @@ def suite_ssf(cfg: ExperimentConfig, out_dir: Path, grid_override=None):
     V = HermitianOperator(np.asarray(vspec["re"], dtype=float) + 1j * np.asarray(vspec["im"], dtype=float))
     grid_points = int(grid_override or cfg.ssf.get("grid_points", 201))
     for m in cfg.ssf["orders"]:
-        eta = ssf_compute(H, V, int(m), "bspline")
+        eta = ssf_compute(H, V, int(m))
         _check(checks, f"ssf.imag_residue.m{m}", "construction is real-valued", eta.imag_residue, tol["imag_residue"] * eta.scale)
         _check(checks, f"ssf.atom_mass.m{m}", "density carries no atomic mass", eta.density.atomic_mass(), tol["atom_mass"])
         ops, args = remainder_pattern(H, V, int(m))
@@ -258,8 +247,7 @@ def suite_trace_formula(cfg: ExperimentConfig):
         dim = int(rng.choice(cfg.dims))
         H, V = random_pair(rng, dim, 1.0, 0.6)
         for parity in _PARITIES[cfg.parity]:
-            m = 2 * cfg.n - 1 if parity == "odd" else 2 * cfg.n
-            k_weight = 4 * cfg.n + 2 if parity == "odd" else 4 * cfg.n + 3
+            m, k_weight = _orders_for(cfg.n, parity)
             family = admissible_family(rng, cfg.family["count"], m, k_weight, cfg.family.get("spread", 2.0))
             rep = verify_trace_formula(H, V, cfg.n, parity, family)
             worst[parity] = max(worst[parity], rep.max_relative_residual)
@@ -286,7 +274,7 @@ def suite_bounds(cfg: ExperimentConfig):
         # modest perturbations keep the small-t scaling regime visible
         H, V = random_pair(rng, dim, 1.0, 0.3)
         for parity in _PARITIES[cfg.parity]:
-            m = 2 * cfg.n - 1 if parity == "odd" else 2 * cfg.n
+            m, _ = _orders_for(cfg.n, parity)
             rep = weighted_norm_and_scaling(H, V, cfg.n, parity)
             reports[parity].append(rep)
             slope_floor[parity] = m - tol["slope_margin"]

@@ -77,13 +77,13 @@ class TestFunction:
     def poles(self):
         return ()
 
-    def sup_deriv(self, order, lo=None, hi=None, n_grid=4001):
-        """Grid estimate of sup |f^(order)| on [lo, hi] (or the support)."""
+    def sup_deriv(self, order, lo=None, hi=None):
+        """Grid estimate (4001 points) of sup |f^(order)| on [lo, hi] (or the support)."""
         if lo is None or hi is None:
             if self.support is None:
                 raise ValidationError("sup estimate needs an interval for unbounded-support functions")
             lo, hi = self.support
-        xs = np.linspace(lo, hi, n_grid)
+        xs = np.linspace(lo, hi, 4001)
         return float(np.max(np.abs(self.eval_deriv(order, xs))))
 
 

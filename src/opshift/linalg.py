@@ -1,5 +1,5 @@
 """Dense Hermitian operators: spectral decompositions with eigenvalue
-clustering, functional calculus, resolvents, traces and Schatten norms.
+clustering, functional calculus, resolvents and Schatten norms.
 
 Everything is immutable after construction and safe to share across
 threads; decompositions at the default clustering tolerance are cached
@@ -20,11 +20,9 @@ from .errors import DomainError, NumericError, ValidationError
 __all__ = [
     "HermitianOperator",
     "SpectralDecomposition",
-    "SchattenIndex",
     "spectral_decompose",
     "func_calculus",
     "schatten_norm",
-    "trace",
     "resolvent_comparability",
     "ResolventComparabilityReport",
     "operator_from_json",
@@ -230,21 +228,8 @@ def func_calculus(f, H) -> np.ndarray:
     return dec.apply(vals)
 
 
-@dataclass(frozen=True)
-class SchattenIndex:
-    """Summability exponent p in [1, inf]; p = inf is the operator norm."""
-
-    p: float
-
-    def __post_init__(self):
-        if not (self.p >= 1.0):
-            raise ValidationError("Schatten exponent must satisfy p >= 1")
-
-
 def schatten_norm(A, p) -> float:
     """(sum sigma_i^p)^(1/p) of the singular values; p = inf gives the largest."""
-    if isinstance(p, SchattenIndex):
-        p = p.p
     p = float(p)
     if not p >= 1.0:
         raise ValidationError("Schatten exponent must satisfy p >= 1")
@@ -255,10 +240,6 @@ def schatten_norm(A, p) -> float:
     if np.isinf(p):
         return float(sv[0]) if len(sv) else 0.0
     return float(np.sum(sv**p) ** (1.0 / p))
-
-
-def trace(A) -> complex:
-    return complex(np.trace(np.asarray(A)))
 
 
 @dataclass(frozen=True)
@@ -276,8 +257,6 @@ def resolvent_comparability(H: HermitianOperator, V: HermitianOperator, n) -> Re
     """
     if H.dim != V.dim:
         raise ValidationError("operators must act on the same space")
-    if isinstance(n, SchattenIndex):
-        n = n.p
     if not float(n) >= 1.0:
         raise ValidationError("Schatten exponent must satisfy n >= 1")
     rH = H.resolvent()

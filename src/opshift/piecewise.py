@@ -16,7 +16,9 @@ pieces short enough for every piece to sit inside a large Bernstein
 ellipse of the factor (Trefethen, *Approximation Theory and
 Approximation Practice*, ch. 19).  The rule is exact when g is a
 polynomial between kinks and accurate to rounding when g is analytic
-near the real axis.  Tails and atoms are integrated in closed form.
+near the real axis.  Tails integrate by parts in closed form against
+f^(m), and atoms exactly; the weighted norms take compactly supported
+densities only.
 """
 
 from __future__ import annotations
@@ -330,24 +332,20 @@ class PiecewisePolynomial:
 
     def lebesgue_integral(self):
         """Integral of the density part over the real line (tails must vanish)."""
-        for t in (self.left_tail, self.right_tail):
-            if t is not None and np.any(np.abs(t) > 0):
-                raise ValidationError("integral of a function with nonzero tails diverges")
+        _require_compact(self, "lebesgue_integral")
         return complex(np.sum(_segment_integrals(self, lambda x, p: p, (), lambda lo, hi: math.inf)))
 
     def l1_norm(self):
         """Integral of |real part| plus total atomic variation (exact: the
         split Gauss-Legendre rule with weight 1)."""
-        for t in (self.left_tail, self.right_tail):
-            if t is not None and np.any(np.abs(t) > 0):
-                raise ValidationError("l1_norm needs a compactly supported density")
+        _require_compact(self, "l1_norm")
         return _weighted_abs(self, 0) + self.atomic_mass()
 
     # -- serialization -------------------------------------------------
 
-    def to_json_dict(self, imag_tol=1e-9):
+    def to_json_dict(self):
         """JSON-ready dict: {breakpoints, coeffs, atoms} (real coefficients)."""
-        if self.imag_magnitude() > imag_tol * (1.0 + self.coefficient_scale()):
+        if self.imag_magnitude() > 1e-9 * (1.0 + self.coefficient_scale()):
             raise ValidationError("refusing to serialize a density with a large imaginary part")
         out = {
             "breakpoints": [float(b) for b in self.breakpoints],
@@ -360,8 +358,8 @@ class PiecewisePolynomial:
             out["right_tail"] = [float(v.real) for v in self.right_tail]
         return out
 
-    def to_json(self, **kw):
-        return json.dumps(self.to_json_dict(**kw), sort_keys=True, separators=(",", ":"))
+    def to_json(self):
+        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
     @staticmethod
     def from_json_dict(d):
@@ -523,6 +521,11 @@ def _root_points(pp: PiecewisePolynomial, rows):
     return pp._midpoints()[owner] + half[owner] * y[inside]
 
 
+def _require_compact(pp: PiecewisePolynomial, what):
+    if any(t is not None and np.any(np.abs(t) > 0) for t in (pp.left_tail, pp.right_tail)):
+        raise ValidationError(f"{what} needs a compactly supported density")
+
+
 def _weighted_abs(pp: PiecewisePolynomial, w):
     """Integral of |Re pp| (1+|x|)^-w over the finite intervals: the rule
     on segments split at 0 and at the real roots, |.| per segment."""
@@ -571,7 +574,7 @@ def _tail_by_parts(f, order, tail, edge, side):
     return -side * complex(total)
 
 
-def integral_against_derivative(f, order, pp: PiecewisePolynomial, include_atoms=True):
+def integral_against_derivative(f, order, pp: PiecewisePolynomial):
     """Integral of f^(order) times the density, plus atom terms.
 
     The finite intervals, split at f's kinks, go through the split
@@ -588,51 +591,22 @@ def integral_against_derivative(f, order, pp: PiecewisePolynomial, include_atoms
     for tail, edge, side in ((pp.left_tail, bp[0], -1), (pp.right_tail, bp[-1], 1)):
         if tail is not None and np.any(np.abs(tail) > 0):
             total += _tail_by_parts(f, order, tail, edge, side)
-    if include_atoms:
-        for x, w in pp.atoms:
-            total += w * f.eval_deriv(order, x)
+    for x, w in pp.atoms:
+        total += w * f.eval_deriv(order, x)
     return total
 
 
-def _tail_abs_integral(tail, edge, side, w):
-    """Integral of |Re tail(x - edge)| (1+|x|)^-w over a tail that lies on
-    one side of 0, in closed form in y = 1 + |x|, split at the tail's real
-    roots."""
-    c = np.real(_trim(tail))
-    a = 1.0 + abs(edge)
-    # x - edge = side * (y - a)
-    q = np.real(_shift_rows([c * float(side) ** np.arange(len(c))], [-a])[0])
-    e = np.arange(len(q)) - w
-    if np.any((q != 0) & (e >= -1)):
-        raise ValidationError("tail grows too fast for this weight")
-
-    def prim(y):  # antiderivative of q(y) y^-w that vanishes at infinity
-        return 0.0 if y == math.inf else sum(qk * y ** (ek + 1) / (ek + 1) for qk, ek in zip(q, e) if qk)
-
-    _, roots = _real_roots([q])
-    edges = [a] + sorted(roots[roots > a].tolist()) + [math.inf]
-    return sum(abs(prim(hi) - prim(lo)) for lo, hi in zip(edges[:-1], edges[1:]))
-
-
-def weighted_abs_integral(pp: PiecewisePolynomial, weight_exponent, include_atoms=True):
-    """Integral of |density(x)| * (1+|x|)^(-w) for real densities.
+def weighted_abs_integral(pp: PiecewisePolynomial, weight_exponent):
+    """Integral of |density(x)| * (1+|x|)^(-w) for real, compactly
+    supported densities, plus |mass| (1+|x|)^(-w) per atom.
 
     Finite intervals are split at 0 and at the real roots of each piece
     and integrated by the split Gauss-Legendre rule, with |.| taken per
-    root segment.  Polynomial tails integrate in closed form in the
-    variable 1+|x| and are admitted when the weight dominates their
-    growth.
+    root segment.
     """
+    _require_compact(pp, "weighted_abs_integral")
     w = int(weight_exponent)
-    tails = [t is not None and np.any(np.abs(t) > 0) for t in (pp.left_tail, pp.right_tail)]
-    if any(tails):
-        pp = pp.refined(np.array([0.0]))  # every tail now lies on one side of 0
     total = _weighted_abs(pp, w)
-    bp = pp.breakpoints
-    for present, tail, edge, side in zip(tails, (pp.left_tail, pp.right_tail), (bp[0], bp[-1]), (-1, 1)):
-        if present:
-            total += _tail_abs_integral(tail, edge, side, w)
-    if include_atoms:
-        for x, m in pp.atoms:
-            total += abs(complex(m)) * (1.0 + abs(x)) ** (-w)
+    for x, m in pp.atoms:
+        total += abs(complex(m)) * (1.0 + abs(x)) ** (-w)
     return total

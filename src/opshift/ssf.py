@@ -10,14 +10,15 @@ eta_m is an exact piecewise polynomial: the remainder is one operator
 integral with operator pattern (H, H+V, H, ..., H), its trace is a sum
 of eigen-tuple weights times divided differences, and each divided
 difference is the integral of f^(m) against a B-spline kernel.  The
-module also provides the first-order eigenvalue-counting construction,
-a reconstruction construction used for uniqueness tests, weighted-norm
+module also keeps the first-order eigenvalue-counting construction as
+a reference, a reconstruction construction used for uniqueness tests, weighted-norm
 scaling reports, per-term trace measures, and the antiderivative-based
 measure weight shift.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -98,24 +99,15 @@ def remainder_pattern(H: HermitianOperator, V: HermitianOperator, m: int):
     return ops, (V.entries,) * m
 
 
-def ssf_compute(H: HermitianOperator, V: HermitianOperator, m: int, method: str = "bspline") -> SpectralShiftDensity:
-    """Spectral shift density of order m.
-
-    method="counting" (m = 1 only) takes the difference of eigenvalue
-    counting functions; method="bspline" accumulates eigen-tuple weights
-    of the remainder integral against divided-difference kernels and is
-    exact for every m >= 1.
+def ssf_compute(H: HermitianOperator, V: HermitianOperator, m: int) -> SpectralShiftDensity:
+    """Spectral shift density of order m: the eigen-tuple weights of the
+    remainder integral against divided-difference kernels, exact for
+    every m >= 1.
     """
     if m < 1:
         raise ValidationError("order must be at least 1")
     if H.dim != V.dim:
         raise ValidationError("dimension mismatch")
-    if method == "counting":
-        if m != 1:
-            raise ValidationError("the counting construction exists only at order 1")
-        return _ssf_counting(H, V)
-    if method != "bspline":
-        raise ValidationError("method must be 'counting' or 'bspline'")
     ops, args = remainder_pattern(H, V, m)
     density, total_weight = eigen_tuple_density(np.eye(H.dim, dtype=complex), list(args), list(ops))
     imag = density.imag_magnitude()
@@ -130,6 +122,7 @@ def ssf_compute(H: HermitianOperator, V: HermitianOperator, m: int, method: str 
 
 
 def _ssf_counting(H, V):
+    """eta_1 as the difference of eigenvalue counting functions."""
     dh = H.decomposition()
     dhv = (H + V).decomposition()
     pts = []
@@ -191,7 +184,7 @@ def verify_trace_formula(H, V, n, parity, family) -> TraceFormulaReport:
             admissible.append((i, f))
         else:
             rejected.append((i, dec.reason))
-    eta = ssf_compute(H, V, m, "bspline")
+    eta = ssf_compute(H, V, m)
     residuals = []
     traces = []
     for _, f in admissible:
@@ -237,19 +230,19 @@ def _bound_factor(H, V, n, parity):
     return (1.0 + vnorm**2) * vnorm**power * schatten_norm(rH @ V.entries @ rH, n) ** n
 
 
-def weight_exponent_survey(reports, head_room=4):
+def weight_exponent_survey(reports):
     """Reported (never asserted) tightness probe for the weight exponent.
 
     ``reports`` are the :class:`ScalingReport` of one order and parity
     over an ensemble; each carries its density at t = 1 and its bound
-    factor.  For integer weights from w_ref - head_room up to the
+    factor.  For integer weights from w_ref - 4 up to the
     reference exponent w_ref, tabulate the worst ratio of the weighted
     density norm to the bound factor across the ensemble, and report the
     smallest weight whose worst ratio stays within a factor two of the
     reference weight's.
     """
     w_ref = reports[0].weight_exponent
-    weights = list(range(max(1, w_ref - head_room), w_ref + 1))
+    weights = list(range(max(1, w_ref - 4), w_ref + 1))
     worst = {w: 0.0 for w in weights}
     for rep in reports:
         if rep.rhs_factor == 0.0:
@@ -271,7 +264,7 @@ def weighted_norm_and_scaling(H, V, n, parity, t_count=9) -> ScalingReport:
     m, w = _orders_for(n, parity)
     if t_count < 2:
         raise ValidationError("the scaling slope needs t_count >= 2")
-    eta = ssf_compute(H, V, m, "bspline")
+    eta = ssf_compute(H, V, m)
     weighted = weighted_abs_integral(eta.density, w)
     rhs = _bound_factor(H, V, n, parity)
     ts = [2.0 ** (-j) for j in range(t_count)]
@@ -280,7 +273,7 @@ def weighted_norm_and_scaling(H, V, n, parity, t_count=9) -> ScalingReport:
         if t == 1.0:
             values.append(weighted)
         else:
-            eta_t = ssf_compute(H, t * V, m, "bspline")
+            eta_t = ssf_compute(H, t * V, m)
             values.append(weighted_abs_integral(eta_t.density, w))
     slope = None
     if all(v > 0 for v in values):
@@ -325,7 +318,7 @@ def _poly_on_grid(coeffs, breakpoints):
     return PiecewisePolynomial(bp, _shift_rows(np.tile(np.asarray(coeffs, dtype=complex), (len(mids), 1)), mids))
 
 
-def reconstruct_density(H, V, m, n_bumps=50, grid_refine=1, rng=None, ridge=1e-12) -> SpectralShiftDensity:
+def reconstruct_density(H, V, m) -> SpectralShiftDensity:
     """Density recovered from trace data alone (regularized least squares).
 
     Trace values of the remainder on a family of bumps supported strictly
@@ -334,18 +327,12 @@ def reconstruct_density(H, V, m, n_bumps=50, grid_refine=1, rng=None, ridge=1e-1
     polynomial summands of degree < m, so the minimum-norm solution may
     differ from the kernel construction by exactly such a polynomial.
     """
-    if rng is None:
-        rng = np.random.default_rng(7)
-    ops, args = remainder_pattern(H, V, m)
-    eigs = np.concatenate([op.decomposition().eigenvalues for op in ops[:2]])
+    rng = np.random.default_rng(7)
+    eigs = np.concatenate([H.decomposition().eigenvalues, (H + V).decomposition().eigenvalues])
     lo, hi = float(np.min(eigs)), float(np.max(eigs))
     if hi - lo < 1e-6:
         hi = lo + 1.0
-    grid = np.unique(np.concatenate([op.decomposition().eigenvalues for op in ops[:2]]))
-    if grid_refine > 1:
-        fine = [np.linspace(a, b, grid_refine + 1) for a, b in zip(grid[:-1], grid[1:])]
-        grid = np.unique(np.concatenate(fine))
-    mids = 0.5 * (grid[:-1] + grid[1:])
+    grid = np.unique(eigs)
     n_int = len(grid) - 1
     n_basis = n_int * m
 
@@ -363,7 +350,7 @@ def reconstruct_density(H, V, m, n_bumps=50, grid_refine=1, rng=None, ridge=1e-1
             u2 = min(hi - pad, 0.5 * (a + b) + 0.5 * scale * width)
             if u2 - u1 > 1e-8:
                 bumps.append(bump(u1, u2, smoothness=m + 2))
-    while len(bumps) < max(n_bumps, 2 * n_basis):
+    while len(bumps) < max(50, 2 * n_basis):
         u1, u2 = np.sort(rng.uniform(lo + pad, hi - pad, 2))
         if u2 - u1 < 0.05 * span:
             mid = 0.5 * (u1 + u2)
@@ -373,10 +360,8 @@ def reconstruct_density(H, V, m, n_bumps=50, grid_refine=1, rng=None, ridge=1e-1
     # a bump with no grid point inside its support is blind: its row and
     # its trace vanish exactly, and quadrature would leave only round-off
     bumps = [f for f in bumps if np.any((grid > f.a) & (grid < f.b))]
-    n_bumps = len(bumps)
-
-    A = np.zeros((n_bumps, n_basis))
-    y = np.zeros(n_bumps)
+    A = np.zeros((len(bumps), n_basis))
+    y = np.zeros(len(bumps))
     for r, f in enumerate(bumps):
         y[r] = float(np.real(np.trace(taylor_remainder(f, H, V, m, "direct"))))
         for i0 in range(n_int):
@@ -394,7 +379,7 @@ def reconstruct_density(H, V, m, n_bumps=50, grid_refine=1, rng=None, ridge=1e-1
     col_scale = np.maximum(np.linalg.norm(As, axis=0), 1e-30)
     As = As / col_scale[None, :]
     u_svd, s_svd, vt_svd = np.linalg.svd(As, full_matrices=False)
-    cutoff = max(ridge, 1e-11) * s_svd[0]
+    cutoff = 1e-11 * s_svd[0]
     inv = np.where(s_svd > cutoff, 1.0 / np.where(s_svd > cutoff, s_svd, 1.0), 0.0)
     coef = (vt_svd.T * inv) @ (u_svd.T @ ys) / col_scale
     rows = tuple(coef[i0 * m : (i0 + 1) * m].astype(complex) for i0 in range(n_int))
@@ -529,12 +514,12 @@ def rp_term_measures(H, V, n, parity, family) -> dict:
     checked = build_check_operators(eps, Hs, [np.zeros((dim, dim))] + list(args))
 
     if parity == "odd":
-        tuple_sets = {p: list(_increasing_tuples(m, p + 1)) for p in range(m + 1)}
+        tuple_sets = {p: list(itertools.combinations(range(m + 1), p + 1)) for p in range(m + 1)}
         sign = {p: (-1) ** (p + 1) for p in range(m + 1)}
         weight = {p: p + 1 for p in range(m + 1)}
     else:
         tuple_sets = {
-            p: [combo + (m,) for combo in _increasing_tuples(m - 1, p)] if p >= 1 else [(m,)]
+            p: [combo + (m,) for combo in itertools.combinations(range(m), p)] if p >= 1 else [(m,)]
             for p in range(m + 1)
         }
         sign = {p: (-1) ** p for p in range(m + 1)}
@@ -574,8 +559,3 @@ def rp_term_measures(H, V, n, parity, family) -> dict:
         sum_residuals.append(abs(total - direct) / (1.0 + abs(direct)))
     return {"terms": reports, "signed_sum_residuals": tuple(sum_residuals)}
 
-
-def _increasing_tuples(m, length):
-    import itertools
-
-    return itertools.combinations(range(m + 1), length)

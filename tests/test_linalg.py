@@ -6,7 +6,6 @@ import pytest
 
 from opshift import (
     HermitianOperator,
-    SchattenIndex,
     ValidationError,
     func_calculus,
     operator_from_json,
@@ -125,8 +124,6 @@ class TestSchatten:
     def test_exponent_validation(self):
         with pytest.raises(ValidationError):
             schatten_norm(np.eye(2), 0.5)
-        with pytest.raises(ValidationError):
-            SchattenIndex(0.99)
 
     def test_holder_inequality(self):
         rng = rng_stream(11, 0)

@@ -137,19 +137,17 @@ class TestWeightedAbsIntegral:
         )
         assert exact == pytest.approx(val, rel=1e-7)
 
-    def test_polynomial_tails(self):
-        # |x| tail against (1+|x|)^-10 on [1, inf): integrable, closed form
-        pp = PiecewisePolynomial(
-            np.array([-1.0, 1.0]),
-            (np.array([1.0]),),
-            left_tail=np.array([0.0]),
-            right_tail=np.array([1.0, 1.0]),  # 1 + (x - 1) = x on the right tail
-        )
-        exact = weighted_abs_integral(pp, 10)
-        direct = quad(lambda x: 1.0 * (1 + abs(x)) ** (-10), -1, 1)[0] + quad(
-            lambda x: x * (1 + x) ** (-10), 1, np.inf
-        )[0]
-        assert exact == pytest.approx(direct, rel=1e-9)
+    def test_polynomial_tails_raise(self):
+        # shift densities are compactly supported; a nonzero tail is refused
+        for left, right in (([0.0], [1.0, 1.0]), ([2.0], None)):
+            pp = PiecewisePolynomial(
+                np.array([-1.0, 1.0]),
+                (np.array([1.0]),),
+                left_tail=np.array(left),
+                right_tail=None if right is None else np.array(right),
+            )
+            with pytest.raises(ValidationError):
+                weighted_abs_integral(pp, 10)
 
 
 class TestDiscreteMeasure:

@@ -14,6 +14,7 @@ from opshift.ssf import (
     ScalingReport,
     SpectralShiftDensity,
     _poly_on_grid,
+    _ssf_counting,
     measure_weight_shift,
     reconstruct_density,
     rp_term_measures,
@@ -26,7 +27,7 @@ from opshift.ssf import (
 
 class TestSsfCompute:
     def test_counting_scalar_pair(self):
-        eta = ssf_compute(HermitianOperator([[0.0]]), HermitianOperator([[1.0]]), 1, "counting")
+        eta = _ssf_counting(HermitianOperator([[0.0]]), HermitianOperator([[1.0]]))
         assert eta(0.5) == pytest.approx(1.0)
         assert eta(-0.1) == 0.0
         assert eta(1.1) == 0.0
@@ -78,8 +79,7 @@ class TestSsfCompute:
         H, V = random_pair(rng_stream(94, 0), 4, 1.0, 0.5)
         f = rational_from_poles([2j, -1 - 1.5j, 1 + 2j])
         lhs = complex(np.trace(func_calculus(f, H + V) - func_calculus(f, H)))
-        for method in ("counting", "bspline"):
-            eta1 = ssf_compute(H, V, 1, method)
+        for eta1 in (_ssf_counting(H, V), ssf_compute(H, V, 1)):
             assert abs(lhs - eta1.integrate_against(f)) <= 1e-12 * (1.0 + abs(lhs))
 
     def test_shared_eigenvalue_produces_no_atom(self):
@@ -101,8 +101,6 @@ class TestSsfCompute:
 
     def test_counting_validation(self):
         H, V = random_pair(rng_stream(53, 0), 2, 1.0, 0.5)
-        with pytest.raises(ValidationError):
-            ssf_compute(H, V, 2, "counting")
         with pytest.raises(ValidationError):
             ssf_compute(H, V, 0)
 
@@ -239,8 +237,8 @@ class TestUniquenessFit:
 
     def test_counting_vs_kernel_constant(self):
         H, V = random_pair(rng_stream(67, 0), 3, 1.0, 0.6)
-        eta_c = ssf_compute(H, V, 1, "counting")
-        eta_b = ssf_compute(H, V, 1, "bspline")
+        eta_c = _ssf_counting(H, V)
+        eta_b = ssf_compute(H, V, 1)
         coeffs, res = uniqueness_fit(eta_c, eta_b, 1)
         assert res <= 1e-9
 
