@@ -11,8 +11,9 @@ every order:
 * compactly supported polynomial bumps of prescribed smoothness,
 * plain polynomials.
 
-On top of these the module provides divided differences (with a
-confluent path for coincident nodes), analytic weighted-class
+On top of these the module provides divided differences (rationals and
+Gaussians through the bidiagonal Opitz matrix, bumps and polynomials
+through a Newton table with a confluent path), analytic weighted-class
 membership decisions, and the B-spline representation of divided
 differences as integrals of a piecewise-polynomial kernel.
 """
@@ -365,6 +366,8 @@ def divided_difference(f: TestFunction, nodes) -> complex:
     zs = _merge_nodes(nodes)
     if isinstance(f, RationalFunction):
         return _rational_divided_difference(f, zs)
+    if isinstance(f, GaussianFunction):
+        return _gaussian_divided_difference(f, zs)
     p = len(zs) - 1
     # a confluent group of size g needs derivative order g-1, which only
     # fails where global smoothness is finite and the node hits a kink
@@ -416,6 +419,45 @@ def _rational_divided_difference(f: RationalFunction, zs):
                 row[1:] = row[1:] * d[1:] + row[:-1]
                 row[0] *= d[0]
     return complex(row[-1])
+
+
+def _gaussian_divided_difference(f: GaussianFunction, zs):
+    """f[zs] as entry (0, p) of f(J) = q(S) exp(-S^2 / (2 w^2)), S = J - center,
+    with J the Opitz matrix of :func:`_rational_divided_difference`; the
+    first row of q(S) is one Horner pass.  Repeated nodes need no branch,
+    and nothing divides by a node gap."""
+    S = np.diag(np.asarray(zs, dtype=float) - f.center) + np.eye(len(zs), k=1)
+    row = np.zeros(len(zs), dtype=complex)
+    for c in reversed(f.prefactor):
+        row = row @ S
+        row[0] += c
+    return complex(row @ _expm(-(S @ S) / (2.0 * f.width**2))[:, -1])
+
+
+# Pade-13 coefficients and the 1-norm up to which that approximant needs no scaling
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0, 129060195264000.0,
+    10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def _expm(A):
+    """exp(A) by the [13/13] Pade approximant with scaling and squaring
+    (Higham, SIAM J. Matrix Anal. Appl. 26 (2005))."""
+    norm = np.linalg.norm(A, 1)
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
+    A = A / 2.0**s
+    b, eye = _PADE13, np.eye(len(A))
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -24,6 +26,9 @@ from opshift.functions import (
 from opshift.piecewise import integral_against_derivative
 from opshift.ensembles import rng_stream
 
+_spec = importlib.util.spec_from_file_location("oracles", Path(__file__).resolve().parents[1] / "bench" / "oracles.py")
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
 
 def recursive_divided_difference(values, nodes):
     """Independent oracle: the plain recursion for pairwise distinct nodes."""
@@ -109,6 +114,38 @@ class TestDividedDifference:
                 return v
 
             ref = complex(recursive_divided_difference([value(x) for x in nodes], [mpmath.mpf(float(x)) for x in nodes]))
+        assert abs(divided_difference(f, nodes[::-1]) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_gaussian_at_clustered_nodes_matches_mpmath(self, seed):
+        # the Newton table divided rounding by gaps down to 1e-7 at every
+        # level; every third seed also repeats a node (a confluent group)
+        rng = np.random.default_rng(seed)
+        center, width, weight = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 1.5), int(rng.integers(0, 4))
+        gaps = 10.0 ** rng.uniform(-7.0, 0.0, int(rng.integers(1, 6)))
+        if seed % 3 == 0:
+            gaps[0] = 0.0
+        nodes = rng.uniform(-1.5, 1.5) + np.concatenate([[0.0], np.cumsum(gaps), [2.0 + gaps.sum()] * (seed % 2)])
+        f = weight_multiply(GaussianFunction(center, width), weight)
+        with mpmath.workdps(60):
+            gauss = oracles.gaussian_taylor(center, width)
+
+            def taylor(k, x):  # (u^weight g)^(k)(x) / k! by Leibniz, u = x - i
+                u = x - mpmath.mpc(0, 1)
+                return sum(math.comb(weight, i) * u ** (weight - i) * gauss(k - i, x) for i in range(min(k, weight) + 1))
+
+            xs = [mpmath.mpf(float(x)) for x in nodes]
+            memo = {}
+
+            def dd(lo, hi):  # symmetric recursion over the sorted nodes lo..hi
+                if (lo, hi) not in memo:
+                    if xs[lo] == xs[hi]:
+                        memo[lo, hi] = taylor(hi - lo, xs[lo])
+                    else:
+                        memo[lo, hi] = (dd(lo + 1, hi) - dd(lo, hi - 1)) / (xs[hi] - xs[lo])
+                return memo[lo, hi]
+
+            ref = complex(dd(0, len(xs) - 1))
         assert abs(divided_difference(f, nodes[::-1]) - ref) <= 1e-12 * abs(ref)
 
     def test_permutation_invariance(self):

@@ -18,7 +18,7 @@ import pytest
 
 from opshift import cov, moi
 from opshift.errors import BudgetError
-from opshift.functions import rational_from_poles
+from opshift.functions import GaussianFunction, rational_from_poles
 from opshift.linalg import HermitianOperator
 from opshift.moi import taylor_remainder
 from opshift.ssf import ssf_compute
@@ -78,6 +78,17 @@ def test_moi_remainder_matches_mpmath_closed_form(d, m, vnorm):
     H, V, poles = _instance([6, d, m, int(-np.log10(vnorm))], d, vnorm)
     out = taylor_remainder(rational_from_poles(poles), H, V, m, method="moi")
     ref = _mp_rational_remainder(list(poles), H.entries, V.entries, m)
+    assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("vnorm", [1e-1, 1e-3])
+@pytest.mark.parametrize("d, m", [(3, 5), (5, 5), (8, 4)])
+def test_gaussian_moi_remainder_matches_mpmath(d, m, vnorm):
+    # the oracle takes 60-digit divided differences from Hermite Taylor coefficients
+    H, V, poles = _instance([7, d, m, int(-np.log10(vnorm))], d, vnorm)
+    center, width = poles[0].real, poles[0].imag
+    out = taylor_remainder(GaussianFunction(center, width), H, V, m, method="moi")
+    ref = oracles.mp_remainder(oracles.gaussian_taylor(center, width), H.entries, V.entries, m)
     assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
