@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -171,3 +172,9 @@ class TestStartup:
         code = "import sys, opshift, opshift.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_runtime_dependencies_name_only_numpy(self):
+        import tomllib
+
+        meta = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())["project"]
+        assert [re.match(r"[\w.-]+", dep).group() for dep in meta["dependencies"]] == ["numpy"]
