@@ -10,10 +10,10 @@ eta_m is an exact piecewise polynomial: the remainder is one operator
 integral with operator pattern (H, H+V, H, ..., H), its trace is a sum
 of eigen-tuple weights times divided differences, and each divided
 difference is the integral of f^(m) against a B-spline kernel.  The
-module also keeps the first-order eigenvalue-counting construction as
-a reference, a reconstruction construction used for uniqueness tests, weighted-norm
-scaling reports, per-term trace measures, and the antiderivative-based
-measure weight shift.
+module also keeps the first-order eigenvalue-counting construction as a
+reference, and provides a reconstruction used for uniqueness tests,
+weighted-norm scaling reports, per-term trace measures, and the
+antiderivative-based measure weight shift.
 """
 
 from __future__ import annotations
