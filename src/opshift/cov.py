@@ -182,10 +182,11 @@ def cov_scalar_identity(g: TestFunction, eps: EpsilonSignature, lambdas):
     mag = 0.0
     for k in range(max(0, q - 1), m + 1):
         fk = weight_multiply(g, k - q + 1)
-        for combo in _index_tuples(m, k, zeros):
-            term = (-1.0) ** (m - k) * divided_difference(fk, [lam[i] for i in combo]) * u_factor
-            rhs += term
-            mag += abs(term)
+        combos = list(_index_tuples(m, k, zeros))
+        if combos:
+            terms = (-1.0) ** (m - k) * divided_difference(fk, np.array(lam)[np.array(combos)]) * u_factor
+            rhs += terms.sum()
+            mag += np.abs(terms).sum()
     scale = 1.0 + abs(lhs) + mag
     return lhs, rhs, abs(lhs - rhs), scale
 

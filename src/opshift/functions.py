@@ -13,9 +13,12 @@ every order:
 
 On top of these the module provides divided differences (rationals and
 Gaussians through the bidiagonal Opitz matrix, bumps and polynomials
-through a Newton table with a confluent path), analytic weighted-class
-membership decisions, and the B-spline representation of divided
-differences as integrals of a piecewise-polynomial kernel.
+through a Newton table with a confluent path), taken at one node row or
+at every row of a (rows, p+1) array in one call: the rational recurrence
+and the Newton table run over all rows at once, Gaussians one row at a
+time.  It also provides analytic weighted-class membership decisions and
+the B-spline representation of divided differences as integrals of a
+piecewise-polynomial kernel.
 """
 
 from __future__ import annotations
@@ -358,67 +361,75 @@ def _merge_rows(rows):
     return rep
 
 
-def divided_difference(f: TestFunction, nodes) -> complex:
-    """Divided difference of order len(nodes)-1, confluent at repeated nodes."""
-    nodes = list(nodes)
-    if len(nodes) == 0:
+def divided_difference(f: TestFunction, nodes):
+    """Divided difference of order len(nodes)-1, confluent at repeated nodes.
+
+    A 1-D ``nodes`` gives a complex; a (rows, p+1) array gives the array of
+    every row's value, from one merge and one evaluation pass over all rows."""
+    rows = np.asarray(nodes, dtype=float)
+    if rows.shape[-1] == 0:
         raise ValidationError("need at least one node")
-    zs = _merge_nodes(nodes)
+    zs = _merge_rows(np.sort(np.atleast_2d(rows), axis=1))
     if isinstance(f, RationalFunction):
-        return _rational_divided_difference(f, zs)
-    if isinstance(f, GaussianFunction):
-        return _gaussian_divided_difference(f, zs)
-    p = len(zs) - 1
+        vals = _rational_divided_difference(f, zs)
+    elif isinstance(f, GaussianFunction):
+        vals = np.array([_gaussian_divided_difference(f, z) for z in zs], dtype=complex)
+    else:
+        vals = _newton_divided_difference(f, zs)
+    return complex(vals[0]) if rows.ndim == 1 else vals
+
+
+def _newton_divided_difference(f: TestFunction, zs):
+    """f[zs] for every row of zs (merged, sorted) by the Newton table, built
+    level by level over all rows; a confluent entry is f^(j)/j! at its node."""
     # a confluent group of size g needs derivative order g-1, which only
     # fails where global smoothness is finite and the node hits a kink
     if f.smoothness != math.inf and f.kink_points:
-        run = 1
-        for i in range(1, len(zs)):
-            run = run + 1 if zs[i] == zs[i - 1] else 1
-            near_kink = any(abs(zs[i] - kk) <= NODE_MERGE_RELTOL * (1.0 + abs(kk)) for kk in f.kink_points)
-            if run - 1 > f.smoothness and near_kink:
-                raise ValidationError(
-                    f"nodes require derivative order {run - 1} at a C^{f.smoothness} point"
-                )
-    vals = {}
+        run = np.ones(zs.shape, dtype=int)
+        for c in range(1, zs.shape[1]):
+            run[:, c] = np.where(zs[:, c] == zs[:, c - 1], run[:, c - 1] + 1, 1)
+        near_kink = np.zeros(zs.shape, dtype=bool)
+        for kk in f.kink_points:
+            near_kink |= np.abs(zs - kk) <= NODE_MERGE_RELTOL * (1.0 + abs(kk))
+        bad = (run - 1 > f.smoothness) & near_kink
+        if bad.any():
+            raise ValidationError(f"nodes require derivative order {run[bad][0] - 1} at a C^{f.smoothness} point")
+    table = np.asarray(f.eval_deriv(0, zs), dtype=complex)
+    for j in range(1, zs.shape[1]):
+        gap = zs[:, j:] - zs[:, :-j]
+        same = gap == 0.0
+        table = _divide_by_real(table[:, 1:] - table[:, :-1], np.where(same, 1.0, gap))
+        if same.any():
+            table[same] = _divide_by_real(f.eval_deriv(j, zs[:, :-j][same]), float(math.factorial(j)))
+    return table[:, 0]
 
-    def fval(order, x):
-        key = (order, x)
-        if key not in vals:
-            vals[key] = complex(f.eval_deriv(order, x))
-        return vals[key]
 
-    table = [[fval(0, z) for z in zs]]
-    for j in range(1, p + 1):
-        row = []
-        for i in range(p + 1 - j):
-            if zs[i + j] == zs[i]:
-                row.append(fval(j, zs[i]) / math.factorial(j))
-            else:
-                row.append((table[j - 1][i + 1] - table[j - 1][i]) / (zs[i + j] - zs[i]))
-        table.append(row)
-    return table[p][0]
+def _divide_by_real(z, r):
+    """z / r for real r, each part rounded once as in Python's complex / float;
+    numpy's complex division would multiply by a rounded reciprocal of r."""
+    return z.real / r + 1j * (z.imag / r)
 
 
 def _rational_divided_difference(f: RationalFunction, zs):
-    """f[zs] as the last entry of the first row of f(J), where J is the
-    bidiagonal matrix with the nodes on its diagonal and ones above it
-    (Opitz).  Each factor (x - z)^(-m) is one bidiagonal solve or product
-    per unit of |m|, with pivots x_k - z off the real axis; nothing divides
-    by a node gap, so close nodes lose no digits to cancellation."""
-    row = np.zeros(len(zs), dtype=complex)
-    row[0] = f.scale
+    """f[zs] for every row of zs as the last entry of the first row of f(J),
+    where J is the bidiagonal matrix with the row's nodes on its diagonal
+    and ones above it (Opitz).  Each factor (x - z)^(-m) is one bidiagonal
+    solve or product per unit of |m|, with pivots x_k - z off the real
+    axis, run over all rows at once; nothing divides by a node gap, so
+    close nodes lose no digits to cancellation."""
+    row = np.zeros(zs.shape, dtype=complex)
+    row[:, 0] = f.scale
     for z, m in f.factors:
-        d = np.asarray(zs, dtype=float) - complex(z)
+        d = zs - complex(z)
         for _ in range(abs(m)):
             if m > 0:  # row <- row (J - z)^-1
-                row[0] /= d[0]
-                for k in range(1, len(zs)):
-                    row[k] = (row[k] - row[k - 1]) / d[k]
+                row[:, 0] /= d[:, 0]
+                for k in range(1, zs.shape[1]):
+                    row[:, k] = (row[:, k] - row[:, k - 1]) / d[:, k]
             else:  # row <- row (J - z)
-                row[1:] = row[1:] * d[1:] + row[:-1]
-                row[0] *= d[0]
-    return complex(row[-1])
+                row[:, 1:] = row[:, 1:] * d[:, 1:] + row[:, :-1]
+                row[:, 0] *= d[:, 0]
+    return row[:, -1]
 
 
 def _gaussian_divided_difference(f: GaussianFunction, zs):

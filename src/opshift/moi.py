@@ -198,10 +198,11 @@ def _group_rows(rows):
 
 def moi_eval(symbol: MoiSymbol, optuple: OperatorTuple) -> np.ndarray:
     """Exact spectral-sum evaluation of the operator integral: per chunk of
-    :func:`_eigenbasis_chain`, the symbol is evaluated once per distinct
-    sorted node row of the nonzero chain entries (cached across chunks) and
-    the weighted chain is summed over its inner axes into core[i_0, i_p];
-    returns X_0 core X_p^*, every reduction in a fixed order."""
+    :func:`_eigenbasis_chain`, one :func:`divided_difference` call evaluates
+    the symbol at every distinct sorted node row of the nonzero chain
+    entries that no earlier chunk reached (values are cached across
+    chunks), and the weighted chain is summed over its inner axes into
+    core[i_0, i_p]; returns X_0 core X_p^*, every reduction in a fixed order."""
     p = optuple.order
     if symbol.order != p:
         raise ValidationError("symbol order must match the argument count")
@@ -218,9 +219,9 @@ def moi_eval(symbol: MoiSymbol, optuple: OperatorTuple) -> np.ndarray:
         columns = [head[lo:hi], *codes[1:p], tail]
         keys, group = _group_rows(np.stack([c[i] for c, i in zip(columns, np.unravel_index(hit, chain.shape))], axis=1))
         rows = list(map(tuple, keys.tolist()))
-        for row, nodes in zip(rows, values[keys].tolist()):
-            if row not in cache:
-                cache[row] = divided_difference(f, nodes)
+        fresh = [i for i, row in enumerate(rows) if row not in cache]
+        if fresh:
+            cache.update(zip([rows[i] for i in fresh], divided_difference(f, values[keys[fresh]])))
         terms = np.zeros(chain.shape, dtype=complex)
         terms.flat[hit] = np.array([cache[row] for row in rows])[group] * chain.flat[hit]
         core[lo:hi] = terms.sum(axis=tuple(range(1, p)))

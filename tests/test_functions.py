@@ -188,6 +188,109 @@ class TestDividedDifference:
             divided_difference(f, [1.0, 1.0, 1.0, 1.0, 1.0])
 
 
+def _mp_polynomial(coeffs):
+    """k, x -> p^(k)(x) / k! for ascending coefficients, in mpmath."""
+    return lambda k, x: sum(c * mpmath.binomial(n, k) * x ** (n - k) for n, c in enumerate(coeffs) if n >= k)
+
+
+def _mp_polymul(p, q):
+    out = [mpmath.mpc(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _mp_taylor(f):
+    """k, x -> f^(k)(x) / k! in mpmath, from f's own parameters: products of
+    binomial series for a rational, the expanded polynomial of a bump inside
+    its closed support (and 0 outside), Hermite functions for a Gaussian."""
+    if isinstance(f, GaussianFunction):
+        assert f.prefactor == (1.0,)
+        return oracles.gaussian_taylor(f.center, f.width)
+    if isinstance(f, PolynomialFunction):
+        return _mp_polynomial([mpmath.mpc(c) for c in f.coefficients])
+    if isinstance(f, BumpFunction):
+        a, b, mid = mpmath.mpf(f.a), mpmath.mpf(f.b), (mpmath.mpf(f.a) + mpmath.mpf(f.b)) / 2
+        poly = [mpmath.mpc(1)]
+        for _ in range(f.smoothness + 1):
+            poly = _mp_polymul(poly, [-a * b, a + b, mpmath.mpf(-1)])  # (x - a)(b - x)
+        q = [mpmath.mpc(0)]
+        for c in reversed(f.prefactor):  # q(x - mid) in powers of x, by Horner
+            q = _mp_polymul(q, [-mid, mpmath.mpf(1)])
+            q[0] += mpmath.mpc(c)
+        inner = _mp_polynomial(_mp_polymul(poly, q))
+        return lambda k, x: inner(k, x) if a <= x <= b else mpmath.mpc(0)
+
+    def coeff(k, x):
+        acc = [mpmath.mpc(f.scale)] + [mpmath.mpc(0)] * k
+        for z, m in f.factors:  # (x + h - z)^(-m) = sum_j binom(-m, j) (x - z)^(-m-j) h^j
+            z = mpmath.mpc(z)
+            acc = _mp_polymul(acc, [mpmath.binomial(-m, j) * (x - z) ** (-m - j) for j in range(k + 1)])[: k + 1]
+        return acc[k]
+
+    return coeff
+
+
+def _mp_divided_difference(f, nodes):
+    """60-digit symmetric recursion over the merged sorted nodes: a cluster
+    closer than NODE_MERGE_RELTOL is one confluent node for the evaluator,
+    so it is one for the reference too."""
+    with mpmath.workdps(60):
+        taylor, xs, memo = _mp_taylor(f), [mpmath.mpf(x) for x in _merge_nodes(nodes)], {}
+
+        def dd(lo, hi):
+            if (lo, hi) not in memo:
+                if xs[lo] == xs[hi]:
+                    memo[lo, hi] = taylor(hi - lo, xs[lo])
+                else:
+                    memo[lo, hi] = (dd(lo + 1, hi) - dd(lo, hi - 1)) / (xs[hi] - xs[lo])
+            return memo[lo, hi]
+
+        return complex(dd(0, len(xs) - 1))
+
+
+class TestDividedDifferenceRows:
+    """One call over a (rows, p+1) array against one call per row and mpmath."""
+
+    # distinct nodes, a cluster below NODE_MERGE_RELTOL, repeated nodes, an
+    # unsorted row mixing them, and rows at the bump's kinks -1 and 1
+    ROWS = [
+        [-0.7, -0.2, 0.3, 0.5, 0.9],
+        [-0.4, 0.1, 0.1 + 3e-9, 0.1 + 6e-9, 0.8],
+        [0.2, 0.2, 0.2, 0.6, 0.6],
+        [0.9, -0.3, 0.5, -0.3, 0.5 + 1e-9],
+        [-1.0, -1.0, -1.0, 0.2, 0.7],
+        [0.3, 1.0 - 4e-9, 1.0, 1.0, 1.0 + 4e-9],
+    ]
+    FUNCTIONS = {
+        "rational": weight_multiply(rational_from_poles([0.3 + 0.9j, 0.3 - 0.9j, -0.5 + 1.4j, -0.5 + 1.4j]), 1),
+        "gaussian": GaussianFunction(0.2, 0.9),
+        "bump": bump(-1.0, 1.0, smoothness=4, prefactor=(1.0, 0.5, -0.3)),
+        "polynomial": PolynomialFunction((0.3, -1.0, 0.5, 0.2, -0.7, 0.1, 0.4, -0.2)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FUNCTIONS))
+    def test_rows_match_row_calls_and_mpmath(self, kind):
+        f = self.FUNCTIONS[kind]
+        got = divided_difference(f, np.array(self.ROWS))
+        assert got.shape == (len(self.ROWS),) and got.dtype == complex
+        for row, value in zip(self.ROWS, got):
+            single = divided_difference(f, row)
+            assert type(single) is complex and single == value  # same arithmetic per row
+            ref = _mp_divided_difference(f, row)
+            assert abs(value - ref) <= 1e-12 * abs(ref)
+
+    def test_rows_needing_too_many_derivatives_at_a_kink_raise(self):
+        f = bump(-1.0, 1.0, smoothness=2)
+        fine = [[-0.7, -0.2, 0.3, 0.5, 0.9], [-1.0, -1.0, -1.0, 0.2, 0.7]]  # order 2 at a kink
+        assert np.all(np.isfinite(divided_difference(f, np.array(fine))))
+        # order 3 at a kink: four repeated nodes, or a cluster of four merged onto one
+        for bad in ([0.1, 1.0, 1.0, 1.0, 1.0], [0.4, -1.0 - 4e-9, -1.0, -1.0 + 2e-9, -1.0 + 4e-9]):
+            with pytest.raises(ValidationError):
+                divided_difference(f, np.array(fine + [bad]))
+
+
 class TestBumpDerivatives:
     @pytest.mark.parametrize("smoothness", [6, 22])
     def test_near_kinks_match_mpmath(self, smoothness):
