@@ -286,7 +286,6 @@ def suite_bounds(cfg: ExperimentConfig):
         Us = [random_hermitian(rng, dim, 0.8).entries for _ in range(mlen)]
         U0 = random_hermitian(rng, dim, 1.0).entries
         tm = trace_via_measure(U0, g, Us, Hs)
-        _ = tm.ratio
         ratio_worst = max(ratio_worst, tm.residual / tm.scale)
     for parity, slope in slopes.items():
         _check(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from .errors import ValidationError
-from .functions import TestFunction, _merge_rows, divided_difference, peano_kernel, weight_multiply
+from .functions import TestFunction, _bspline_levels, _merge_rows, divided_difference, peano_kernel, weight_multiply
 from .linalg import HermitianOperator, schatten_norm
 from .moi import MoiSymbol, OperatorTuple, _cluster_sum, _eigenbasis_chain, _group_rows, moi_eval
 from .piecewise import PiecewisePolynomial, _weighted_modulus, integral_against_derivative
@@ -129,25 +129,26 @@ def checked_product(checked, i, j, dim):
     return out
 
 
+def _spaced_subset(J, m: int):
+    """J as a sorted list, checked to be a subset of 1..m whose indices lie
+    pairwise at distance >= 2."""
+    J = sorted(set(int(j) for j in J))
+    if any(not 1 <= j <= m for j in J):
+        raise ValidationError("J must be a subset of 1..m")
+    if any(b - a < 2 for a, b in zip(J, J[1:])):
+        raise ValidationError("indices in J must be pairwise at distance >= 2")
+    return J
+
+
 def signature_for_J(J, m: int) -> EpsilonSignature:
     """An {L, R} signature with eps_0 = R, eps_m = L that double-dresses
     exactly the slots in J (which must be pairwise at distance >= 2)."""
-    J = sorted(set(int(j) for j in J))
-    for j in J:
-        if not (1 <= j <= m):
-            raise ValidationError("J must be a subset of 1..m")
-    for a, b in zip(J, J[1:]):
-        if b - a < 2:
-            raise ValidationError("indices in J must be pairwise at distance >= 2")
+    J = _spaced_subset(J, m)
     ent = ["R"] * m + ["L"]
     for j in J:
         ent[j - 1] = "R"
         ent[j] = "L"
-    eps = EpsilonSignature(tuple(ent))
-    for j in J:
-        if not (eps[j - 1] == "R" and eps[j] == "L"):  # pragma: no cover - construction guarantees it
-            raise ValidationError("signature construction failed")
-    return eps
+    return EpsilonSignature(tuple(ent))
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +362,7 @@ def pJ_alpha(Us, Hs, J, alphas, n: int) -> BoundReport:
     m = len(Us) - 1
     if len(Hs) != m + 1 or len(alphas) != m + 1:
         raise ValidationError("need matching operator, argument and exponent counts")
-    J = sorted(set(int(j) for j in J))
-    for j in J:
-        if not (1 <= j <= m):
-            raise ValidationError("J must be a subset of 1..m")
-    for a, b in zip(J, J[1:]):
-        if b - a < 2:
-            raise ValidationError("indices in J must be pairwise at distance >= 2")
+    J = _spaced_subset(J, m)
     inv = 0.0
     for j, a in enumerate(alphas):
         a = float(a)
@@ -556,35 +551,6 @@ def _sum_kernels(nodes, weights, m, hull):
     if density is None:
         density = PiecewisePolynomial.zero(hull)
     return density, sum(abs(w) for w in weights.tolist()) / math.factorial(m)
-
-
-def _bspline_levels(z, lo, mid):
-    """Peano kernels of the knot rows z (shape (kernels, p+1)) on the grid
-    intervals [lo_j, lo_{j+1}): shape (kernels, intervals, p), ascending
-    coefficients in x - mid_j.  Each level multiplies by the linear
-    factors (x - z_i)/(z_{i+k} - z_i) and (z_{i+k+1} - x)/(z_{i+k+1} - z_{i+1})
-    of ``functions._bspline_kernel``; empty knot spans contribute nothing."""
-    p = z.shape[1] - 1
-    # level 0: indicators of [z_i, z_{i+1}), which are unions of grid intervals
-    level = ((z[:, :-1, None] <= lo) & (lo < z[:, 1:, None]))[..., None].astype(float)
-
-    def times_linear(c, a, b):
-        # c * (a + b s) in the midpoint variable s = x - mid
-        out = np.zeros(c.shape[:-1] + (c.shape[-1] + 1,))
-        out[..., :-1] = c * a[..., None]
-        out[..., 1:] += b * c
-        return out
-
-    def inverse_span(span):
-        return np.divide(1.0, span, out=np.zeros_like(span), where=span > 0)[..., None, None]
-
-    for k in range(1, p):
-        inv_l = inverse_span(z[:, k:p] - z[:, : p - k])
-        inv_r = inverse_span(z[:, k + 1 :] - z[:, 1 : p - k + 1])
-        left = times_linear(level[:, :-1], mid - z[:, : p - k, None], 1.0)
-        right = times_linear(level[:, 1:], z[:, k + 1 :, None] - mid, -1.0)
-        level = left * inv_l + right * inv_r
-    return level[:, 0] / ((z[:, -1] - z[:, 0]) * math.factorial(p - 1))[:, None, None]
 
 
 def trace_via_measure(U0, g: TestFunction, Us, Hs, J=(), alphas=None, n=2) -> TraceMeasureReport:

@@ -11,14 +11,16 @@ every order:
 * compactly supported polynomial bumps of prescribed smoothness,
 * plain polynomials.
 
-On top of these the module provides divided differences (rationals and
-Gaussians through the bidiagonal Opitz matrix, bumps and polynomials
-through a Newton table with a confluent path), taken at one node row or
-at every row of a (rows, p+1) array in one call: the rational recurrence
-and the Newton table run over all rows at once, Gaussians one row at a
-time.  It also provides analytic weighted-class membership decisions and
-the B-spline representation of divided differences as integrals of a
-piecewise-polynomial kernel.
+On top of these the module provides divided differences, taken at one
+node row or at every row of a (rows, p+1) array in one call.  They read
+f[z_0..z_p] as entry (0, p) of f(J), J the bidiagonal Opitz matrix of
+the nodes, so nothing divides by a node gap and nodes are never merged:
+rationals, polynomials and bumps on rows inside their support build the
+first row of f(J) from linear factors over all rows at once, Gaussians
+take one small matrix exponential per row, and bump rows across a kink
+integrate f^(p) against their B-spline (Peano) kernel.  The module also
+provides analytic weighted-class membership decisions and the B-spline
+kernels themselves, whose clusters closer than NODE_MERGE_RELTOL merge.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .piecewise import PiecewisePolynomial, _polymul, _polyval, _polyder
+from .piecewise import PiecewisePolynomial, _gauss_legendre, _horner, _polymul, _polyval, _polyder
 
 __all__ = [
     "TestFunction",
@@ -49,7 +51,7 @@ __all__ = [
     "NODE_MERGE_RELTOL",
 ]
 
-NODE_MERGE_RELTOL = 1e-8  # nodes closer than this (times 1 + span) are treated confluently
+NODE_MERGE_RELTOL = 1e-8  # kernel knots closer than this (times 1 + span) are treated confluently
 
 _U_ROOT = 1j  # u(x) = x - i vanishes at x = i
 
@@ -237,24 +239,28 @@ class BumpFunction(TestFunction):
         return (self.a, self.b)
 
     def eval_deriv(self, order, x):
-        """Leibniz over q(s), (x-a)^r and (b-x)^r, r = smoothness+1, never
-        expanded: the monomial form cancels near the kinks, these do not."""
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xv = np.atleast_1d(x)
-        inside = (xv > self.a) & (xv < self.b)
-        out = np.zeros(xv.shape, dtype=complex)
-        xi, r = xv[inside], self.smoothness + 1
+        out = self._deriv_at(order, np.atleast_1d(x) - self.a, self.b - np.atleast_1d(x))
+        return out[0] if x.ndim == 0 else out
+
+    def _deriv_at(self, order, xa, bx):
+        """f^(order) at the points with distances xa = x - a and bx = b - x
+        (zero where either is not positive), by Leibniz over q(s), (x-a)^r
+        and (b-x)^r, r = smoothness+1, never expanded: the monomial form
+        cancels near the kinks, these do not."""
+        inside = (xa > 0) & (bx > 0)
+        out = np.zeros(inside.shape, dtype=complex)
+        xa, bx, r = xa[inside], bx[inside], self.smoothness + 1
         # the j-th derivatives of (x-a)^r and of (b-x)^r
-        left = [math.perm(r, j) * (xi - self.a) ** (r - j) for j in range(min(r, order) + 1)]
-        right = [math.perm(r, j) * (self.b - xi) ** (r - j) * (-1) ** j for j in range(min(r, order) + 1)]
-        s, acc = xi - 0.5 * (self.a + self.b), 0.0
+        left = [math.perm(r, j) * xa ** (r - j) for j in range(min(r, order) + 1)]
+        right = [math.perm(r, j) * bx ** (r - j) * (-1) ** j for j in range(min(r, order) + 1)]
+        s, acc = 0.5 * (xa - bx), 0.0
         for i in range(min(order, len(self.prefactor) - 1) + 1):
             n = order - i
             both = sum(math.comb(n, j) * left[j] * right[n - j] for j in range(max(0, n - r), min(r, n) + 1))
             acc = acc + math.comb(order, i) * _polyval(_polyder(self.prefactor, i), s) * both
         out[inside] = acc
-        return out[0] if scalar else out
+        return out
 
     def times_u(self, power=1):
         q = np.asarray(self.prefactor, dtype=complex)
@@ -318,31 +324,12 @@ def weight_multiply(f: TestFunction, power: int) -> TestFunction:
 # divided differences
 
 
-def _merge_nodes(nodes):
-    """Sort nodes and merge clusters closer than NODE_MERGE_RELTOL * (1 + span)."""
-    xs = sorted(float(v) for v in nodes)
-    span = xs[-1] - xs[0] if len(xs) > 1 else 0.0
-    tol = NODE_MERGE_RELTOL * (1.0 + span)
-    groups = [[xs[0]]]
-    for v in xs[1:]:
-        if v - groups[-1][-1] <= tol:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    merged = []
-    for g in groups:
-        # a mean of equal values can land an ulp off them, which would cut
-        # a sliver interval between this node and its unmerged copies
-        rep = g[0] if g[0] == g[-1] else sum(g) / len(g)
-        merged.extend([rep] * len(g))
-    return merged
-
-
 def _merge_rows(rows):
-    """:func:`_merge_nodes` applied to every row of a (rows, k) array whose
-    rows are sorted ascending: the same chained gaps, the same group
-    values (the left-to-right mean, or the common value of a group whose
-    ends are equal), in one pass over the k columns."""
+    """Every row of a (rows, k) array sorted ascending, with each cluster of
+    nodes chained by gaps of at most NODE_MERGE_RELTOL * (1 + span) set to
+    one value: its common value if its ends are equal, else its
+    left-to-right mean (a mean of equal values can land an ulp off them and
+    cut a sliver interval), in one pass over the k columns."""
     x = np.asarray(rows, dtype=float)
     tol = NODE_MERGE_RELTOL * (1.0 + (x[:, -1] - x[:, 0]))
     starts = np.ones(x.shape, dtype=bool)
@@ -365,84 +352,112 @@ def divided_difference(f: TestFunction, nodes):
     """Divided difference of order len(nodes)-1, confluent at repeated nodes.
 
     A 1-D ``nodes`` gives a complex; a (rows, p+1) array gives the array of
-    every row's value, from one merge and one evaluation pass over all rows."""
+    every row's value from one evaluation pass over all rows.  The nodes are
+    taken as given: none are merged, and no evaluator divides by a gap."""
     rows = np.asarray(nodes, dtype=float)
     if rows.shape[-1] == 0:
         raise ValidationError("need at least one node")
-    zs = _merge_rows(np.sort(np.atleast_2d(rows), axis=1))
+    zs = np.sort(np.atleast_2d(rows), axis=1)
     if isinstance(f, RationalFunction):
         vals = _rational_divided_difference(f, zs)
     elif isinstance(f, GaussianFunction):
-        vals = np.array([_gaussian_divided_difference(f, z) for z in zs], dtype=complex)
+        vals = _gaussian_divided_difference(f, zs)
+    elif isinstance(f, BumpFunction):
+        vals = _bump_divided_difference(f, zs)
     else:
-        vals = _newton_divided_difference(f, zs)
+        vals = _first_row(f.coefficients, zs)[:, -1]
     return complex(vals[0]) if rows.ndim == 1 else vals
 
 
-def _newton_divided_difference(f: TestFunction, zs):
-    """f[zs] for every row of zs (merged, sorted) by the Newton table, built
-    level by level over all rows; a confluent entry is f^(j)/j! at its node."""
-    # a confluent group of size g needs derivative order g-1, which only
-    # fails where global smoothness is finite and the node hits a kink
-    if f.smoothness != math.inf and f.kink_points:
-        run = np.ones(zs.shape, dtype=int)
-        for c in range(1, zs.shape[1]):
-            run[:, c] = np.where(zs[:, c] == zs[:, c - 1], run[:, c - 1] + 1, 1)
-        near_kink = np.zeros(zs.shape, dtype=bool)
-        for kk in f.kink_points:
-            near_kink |= np.abs(zs - kk) <= NODE_MERGE_RELTOL * (1.0 + abs(kk))
-        bad = (run - 1 > f.smoothness) & near_kink
-        if bad.any():
-            raise ValidationError(f"nodes require derivative order {run[bad][0] - 1} at a C^{f.smoothness} point")
-    table = np.asarray(f.eval_deriv(0, zs), dtype=complex)
-    for j in range(1, zs.shape[1]):
-        gap = zs[:, j:] - zs[:, :-j]
-        same = gap == 0.0
-        table = _divide_by_real(table[:, 1:] - table[:, :-1], np.where(same, 1.0, gap))
-        if same.any():
-            table[same] = _divide_by_real(f.eval_deriv(j, zs[:, :-j][same]), float(math.factorial(j)))
-    return table[:, 0]
+def _times_linear(row, d):
+    """row <- row (J - z) in place for every row, d = zs - z, with J the Opitz
+    matrix of the row's nodes zs (zs on the diagonal, ones above it)."""
+    row[:, 1:] = row[:, 1:] * d[:, 1:] + row[:, :-1]
+    # not *=: numpy's in-place complex product rounds differently on one
+    # element than on many, and a row must not depend on its batch
+    row[:, 0] = row[:, 0] * d[:, 0]
+    return row
 
 
-def _divide_by_real(z, r):
-    """z / r for real r, each part rounded once as in Python's complex / float;
-    numpy's complex division would multiply by a rounded reciprocal of r."""
-    return z.real / r + 1j * (z.imag / r)
+def _first_row(coeffs, d):
+    """First row of q(J - z) for ascending coefficients of q, by Horner."""
+    row = np.zeros(d.shape, dtype=complex)
+    for c in reversed(coeffs):
+        _times_linear(row, d)[:, 0] += c
+    return row
 
 
 def _rational_divided_difference(f: RationalFunction, zs):
-    """f[zs] for every row of zs as the last entry of the first row of f(J),
-    where J is the bidiagonal matrix with the row's nodes on its diagonal
-    and ones above it (Opitz).  Each factor (x - z)^(-m) is one bidiagonal
-    solve or product per unit of |m|, with pivots x_k - z off the real
-    axis, run over all rows at once; nothing divides by a node gap, so
-    close nodes lose no digits to cancellation."""
+    """f[zs] for every row of zs as the last entry of the first row of f(J).
+    Each factor (x - z)^(-m) is one bidiagonal solve or product per unit of
+    |m|, with pivots x_k - z off the real axis, run over all rows at once;
+    nothing divides by a node gap, so close nodes lose no digits."""
     row = np.zeros(zs.shape, dtype=complex)
     row[:, 0] = f.scale
     for z, m in f.factors:
         d = zs - complex(z)
         for _ in range(abs(m)):
-            if m > 0:  # row <- row (J - z)^-1
+            if m < 0:
+                _times_linear(row, d)
+            else:  # row <- row (J - z)^-1
                 row[:, 0] /= d[:, 0]
                 for k in range(1, zs.shape[1]):
                     row[:, k] = (row[:, k] - row[:, k - 1]) / d[:, k]
-            else:  # row <- row (J - z)
-                row[:, 1:] = row[:, 1:] * d[:, 1:] + row[:, :-1]
-                row[:, 0] *= d[:, 0]
     return row[:, -1]
 
 
 def _gaussian_divided_difference(f: GaussianFunction, zs):
-    """f[zs] as entry (0, p) of f(J) = q(S) exp(-S^2 / (2 w^2)), S = J - center,
-    with J the Opitz matrix of :func:`_rational_divided_difference`; the
-    first row of q(S) is one Horner pass.  Repeated nodes need no branch,
-    and nothing divides by a node gap."""
-    S = np.diag(np.asarray(zs, dtype=float) - f.center) + np.eye(len(zs), k=1)
-    row = np.zeros(len(zs), dtype=complex)
-    for c in reversed(f.prefactor):
-        row = row @ S
-        row[0] += c
-    return complex(row @ _expm(-(S @ S) / (2.0 * f.width**2))[:, -1])
+    """f[zs] for every row of zs as entry (0, p) of f(J) = q(S) exp(-S^2 / (2 w^2)),
+    S = J - center: the first rows of q(S) are one Horner pass over all
+    rows, the exponential one :func:`_expm` per row."""
+    d = zs - f.center
+    S, rows = [np.diag(s) + np.eye(len(s), k=1) for s in d], _first_row(f.prefactor, d)
+    return np.array([row @ _expm(-(M @ M) / (2.0 * f.width**2))[:, -1] for row, M in zip(rows, S)], dtype=complex)
+
+
+def _bump_divided_difference(f: BumpFunction, zs):
+    """f[zs] for every row of zs.  On rows inside [a, b] f is the polynomial
+    P = q(x - mid) (x - a)^r (b - x)^r, r = smoothness + 1: one Horner pass
+    and 2r linear factors.  Rows outside (a, b) give 0, rows across a kink
+    the Peano identity, which needs p <= r.  More than r equal nodes at a
+    kink would need f^(r) there, which does not exist."""
+    p, r = zs.shape[1] - 1, f.smoothness + 1
+    if any(np.any(np.sum(zs == kink, axis=1) > r) for kink in f.kink_points):
+        raise ValidationError(f"nodes require derivative order > {f.smoothness} at a C^{f.smoothness} point")
+    first, last = zs[:, 0], zs[:, -1]
+    across = ((first < f.a) & (f.a < last)) | ((first < f.b) & (f.b < last))
+    if p > r and across.any():
+        raise ValidationError(f"a row of order {p} across a kink needs more than C^{f.smoothness}")
+    inside = (first >= f.a) & (last <= f.b)
+    z = zs[inside]
+    row = _first_row(f.prefactor, z - 0.5 * (f.a + f.b))
+    for _ in range(r):
+        _times_linear(_times_linear(row, z - f.a), z - f.b)
+    vals = np.zeros(len(zs), dtype=complex)
+    vals[inside] = (-1) ** r * row[:, -1]
+    if across.any():
+        vals[across] = _peano_divided_difference(f, zs[across])
+    return vals
+
+
+def _peano_divided_difference(f: BumpFunction, zs):
+    """f[zs] = integral of f^(p) times the Peano kernel of zs, for rows of a
+    bump that is C^(p-1).  Both factors are polynomials between the row's
+    knots and the kinks, so Gauss-Legendre is exact there.  The work runs in
+    coordinates shifted by the row's first node, and f^(p) comes from the
+    distances to a and b: absolute coordinates would round the kernel's
+    position by eps |x|, which is large against a narrow row."""
+    p, z = zs.shape[1] - 1, zs - zs[:, :1]
+    kinks = np.clip(np.array(f.kink_points) - zs[:, :1], 0.0, z[:, -1:])
+    grid = np.sort(np.concatenate([z, kinks], axis=1), axis=1)
+    mid, half = 0.5 * (grid[:, 1:] + grid[:, :-1]), 0.5 * (grid[:, 1:] - grid[:, :-1])
+    kernel = _bspline_levels(z, grid[:, None, :-1], mid[:, None])
+    nodes, weights = _gauss_legendre((len(f.prefactor) + 2 * f.smoothness + 2) // 2)
+    s = half[..., None] * nodes
+    x, start = mid[..., None] + s, zs[:, :1, None]
+    kern = _horner(kernel.reshape(-1, p), s.reshape(-1, len(nodes))).reshape(s.shape)
+    values = f._deriv_at(p, (start - f.a) + x, (f.b - start) - x) * kern
+    return np.sum(values @ weights * half, axis=1)
 
 
 # Pade-13 coefficients and the 1-norm up to which that approximant needs no scaling
@@ -520,12 +535,12 @@ def class_membership(f: TestFunction, n: int, k: int) -> ClassMembership:
 def peano_kernel(nodes) -> PiecewisePolynomial:
     """Density K with divided_difference(f, nodes) = integral of f^(p) * K.
 
-    K is the B-spline over the given knots scaled to total mass 1/p!.
-    All-equal node tuples yield a pure atom of mass 1/p! at the common
-    value; otherwise the kernel is built by the Cox-de Boor recursion on
-    exact piecewise-polynomial arithmetic (repeated knots allowed).
+    K is the B-spline over the given knots, merged by :func:`_merge_rows`,
+    scaled to total mass 1/p!.  All-equal node tuples yield a pure atom of
+    mass 1/p! at the common value; otherwise the kernel is built by the
+    Cox-de Boor recursion on exact piecewise-polynomial arithmetic.
     """
-    zs = _merge_nodes(nodes)
+    zs = _merge_rows(np.sort(np.asarray(nodes, dtype=float))[None])[0].tolist()
     p = len(zs) - 1
     if p < 1:
         raise ValidationError("a kernel needs at least two nodes")
@@ -564,6 +579,36 @@ def _bspline_kernel(knots):
         level = nxt
     n_spline = level[0]
     return n_spline.scaled(1.0 / ((zs[-1] - zs[0]) * math.factorial(p - 1)))
+
+
+def _bspline_levels(z, lo, mid):
+    """Peano kernels of the knot rows z (shape (kernels, p+1)) on the grid
+    intervals [lo_j, lo_{j+1}) of one grid, or of one grid per kernel given
+    as shape (kernels, 1, intervals): shape (kernels, intervals, p),
+    ascending coefficients in x - mid_j.  Each level multiplies by the linear factors (x - z_i)/(z_{i+k} - z_i)
+    and (z_{i+k+1} - x)/(z_{i+k+1} - z_{i+1}) of :func:`_bspline_kernel`;
+    empty knot spans contribute nothing."""
+    p = z.shape[1] - 1
+    # level 0: indicators of [z_i, z_{i+1}), which are unions of grid intervals
+    level = ((z[:, :-1, None] <= lo) & (lo < z[:, 1:, None]))[..., None].astype(float)
+
+    def times_linear(c, a, b):
+        # c * (a + b s) in the midpoint variable s = x - mid
+        out = np.zeros(c.shape[:-1] + (c.shape[-1] + 1,))
+        out[..., :-1] = c * a[..., None]
+        out[..., 1:] += b * c
+        return out
+
+    def inverse_span(span):
+        return np.divide(1.0, span, out=np.zeros_like(span), where=span > 0)[..., None, None]
+
+    for k in range(1, p):
+        inv_l = inverse_span(z[:, k:p] - z[:, : p - k])
+        inv_r = inverse_span(z[:, k + 1 :] - z[:, 1 : p - k + 1])
+        left = times_linear(level[:, :-1], mid - z[:, : p - k, None], 1.0)
+        right = times_linear(level[:, 1:], z[:, k + 1 :, None] - mid, -1.0)
+        level = left * inv_l + right * inv_r
+    return level[:, 0] / ((z[:, -1] - z[:, 0]) * math.factorial(p - 1))[:, None, None]
 
 
 def leibniz_weighted_sup_bound(n: int, k: int, a: float, p: int) -> float:

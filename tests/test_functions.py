@@ -19,7 +19,6 @@ from opshift.functions import (
     leibniz_weighted_sup_bound,
     peano_kernel,
     rational_from_poles,
-    _merge_nodes,
     _merge_rows,
     weight_multiply,
 )
@@ -42,6 +41,21 @@ def recursive_divided_difference(values, nodes):
     return table[0]
 
 
+def _merge_nodes(nodes):
+    """The merge rule one row at a time: sort, chain gaps of at most
+    NODE_MERGE_RELTOL * (1 + span), and give each group its common value if
+    its ends are equal, else its left-to-right mean."""
+    xs = sorted(float(v) for v in nodes)
+    tol = NODE_MERGE_RELTOL * (1.0 + (xs[-1] - xs[0]))
+    groups = [[xs[0]]]
+    for v in xs[1:]:
+        if v - groups[-1][-1] <= tol:
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    return [g[0] if g[0] == g[-1] else sum(g) / len(g) for g in groups for _ in g]
+
+
 def _merge_test_rows(rng, width, count):
     """Sorted rows of ``width`` nodes: a few wide gaps set the span, and
     the other gaps are exact repeats, gaps just inside or outside the merge
@@ -59,8 +73,8 @@ def _merge_test_rows(rng, width, count):
 
 @pytest.mark.parametrize("width", range(1, 8))
 def test_merge_rows_equals_merge_nodes_row_by_row(width):
-    # the fold merges all kernel rows at once; it must keep divided_difference's
-    # rule exactly, or a group of equal nodes lands an ulp off and cuts a sliver
+    # the fold merges all kernel rows at once; it must keep the one-row rule
+    # exactly, or a group of equal nodes lands an ulp off and cuts a sliver
     rows = _merge_test_rows(np.random.default_rng(width), width, 300)
     merged = _merge_rows(rows)
     for row, got in zip(rows.tolist(), merged.tolist()):
@@ -148,6 +162,44 @@ class TestDividedDifference:
             ref = complex(dd(0, len(xs) - 1))
         assert abs(divided_difference(f, nodes[::-1]) - ref) <= 1e-12 * abs(ref)
 
+    @pytest.mark.parametrize("seed", range(60))
+    def test_bump_at_clustered_nodes_matches_mpmath(self, seed):
+        # C^4..C^8 bumps on (-1, 1) at node windows 10^U(-7, -1): a row
+        # inside, a row across a kink, or a mixed row (one node beyond the
+        # support and a cluster inside); every fourth seed repeats a node
+        rng = np.random.default_rng(seed)
+        prefactor = rng.uniform(-1.0, 1.0, int(rng.integers(1, 4)))
+        f = weight_multiply(bump(-1.0, 1.0, int(rng.integers(4, 9)), prefactor), int(rng.integers(0, 3)))
+        p, window = int(rng.integers(2, 6)), 10.0 ** rng.uniform(-7.0, -1.0)
+        offsets = np.sort(rng.random(p + 1))
+        if seed % 4 == 0:
+            offsets[1] = offsets[0]
+        if seed % 3 == 0:
+            nodes = rng.uniform(-0.9, 0.9) + window * offsets
+        elif seed % 3 == 1:
+            kink = rng.choice([-1.0, 1.0])
+            nodes = kink + window * (offsets - rng.uniform(offsets[0], offsets[-1]))
+            assert nodes[0] < kink < nodes[-1]
+        else:
+            beyond = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 1.5)
+            nodes = np.append(rng.uniform(-0.9, 0.9) + window * offsets[:p], beyond)
+        ref = _mp_divided_difference(f, nodes)
+        assert abs(divided_difference(f, nodes[::-1]) - ref) <= (1e-12 if seed % 3 == 0 else 1e-11) * abs(ref)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_polynomial_at_clustered_nodes_matches_mpmath(self, seed):
+        # degree p to p+6 at node windows 10^U(-7, -1); every third seed
+        # repeats a node
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(2, 6))
+        coeffs = rng.uniform(-1.0, 1.0, (p + 1 + int(rng.integers(0, 7)), 2)) @ [1.0, 1j]
+        f = PolynomialFunction(tuple(coeffs))
+        nodes = rng.uniform(-1.0, 1.0) + 10.0 ** rng.uniform(-7.0, -1.0) * np.sort(rng.random(p + 1))
+        if seed % 3 == 0:
+            nodes[1] = nodes[0]
+        ref = _mp_divided_difference(f, nodes)
+        assert abs(divided_difference(f, nodes[::-1]) - ref) <= 1e-12 * abs(ref)
+
     def test_permutation_invariance(self):
         rng = rng_stream(4, 0)
         f = rational_from_poles([1j, -2j, 1 + 1j])
@@ -190,7 +242,7 @@ class TestDividedDifference:
 
 def _mp_polynomial(coeffs):
     """k, x -> p^(k)(x) / k! for ascending coefficients, in mpmath."""
-    return lambda k, x: sum(c * mpmath.binomial(n, k) * x ** (n - k) for n, c in enumerate(coeffs) if n >= k)
+    return lambda k, x: sum(c * math.comb(n, k) * x ** (n - k) for n, c in enumerate(coeffs) if n >= k)
 
 
 def _mp_polymul(p, q):
@@ -203,24 +255,26 @@ def _mp_polymul(p, q):
 
 def _mp_taylor(f):
     """k, x -> f^(k)(x) / k! in mpmath, from f's own parameters: products of
-    binomial series for a rational, the expanded polynomial of a bump inside
-    its closed support (and 0 outside), Hermite functions for a Gaussian."""
+    binomial series for a rational and for a bump's three factors inside its
+    closed support (and 0 outside), Hermite functions for a Gaussian."""
     if isinstance(f, GaussianFunction):
         assert f.prefactor == (1.0,)
         return oracles.gaussian_taylor(f.center, f.width)
     if isinstance(f, PolynomialFunction):
         return _mp_polynomial([mpmath.mpc(c) for c in f.coefficients])
     if isinstance(f, BumpFunction):
-        a, b, mid = mpmath.mpf(f.a), mpmath.mpf(f.b), (mpmath.mpf(f.a) + mpmath.mpf(f.b)) / 2
-        poly = [mpmath.mpc(1)]
-        for _ in range(f.smoothness + 1):
-            poly = _mp_polymul(poly, [-a * b, a + b, mpmath.mpf(-1)])  # (x - a)(b - x)
-        q = [mpmath.mpc(0)]
-        for c in reversed(f.prefactor):  # q(x - mid) in powers of x, by Horner
-            q = _mp_polymul(q, [-mid, mpmath.mpf(1)])
-            q[0] += mpmath.mpc(c)
-        inner = _mp_polynomial(_mp_polymul(poly, q))
-        return lambda k, x: inner(k, x) if a <= x <= b else mpmath.mpc(0)
+        a, b, r = mpmath.mpf(f.a), mpmath.mpf(f.b), f.smoothness + 1
+        q = _mp_polynomial([mpmath.mpc(c) for c in f.prefactor])
+
+        def bump_coeff(k, x):  # q(x + h - mid) (x + h - a)^r (b - x - h)^r as a series in h
+            if not a <= x <= b:
+                return mpmath.mpc(0)
+            acc = [q(j, x - (a + b) / 2) for j in range(k + 1)]
+            for base, sign in ((x - a, 1), (b - x, -1)):
+                acc = _mp_polymul(acc, [math.comb(r, j) * base ** (r - j) * sign**j for j in range(k + 1)])[: k + 1]
+            return acc[k]
+
+        return bump_coeff
 
     def coeff(k, x):
         acc = [mpmath.mpc(f.scale)] + [mpmath.mpc(0)] * k
@@ -233,11 +287,10 @@ def _mp_taylor(f):
 
 
 def _mp_divided_difference(f, nodes):
-    """60-digit symmetric recursion over the merged sorted nodes: a cluster
-    closer than NODE_MERGE_RELTOL is one confluent node for the evaluator,
-    so it is one for the reference too."""
+    """60-digit symmetric recursion over the sorted nodes, taken as given:
+    only equal nodes are confluent."""
     with mpmath.workdps(60):
-        taylor, xs, memo = _mp_taylor(f), [mpmath.mpf(x) for x in _merge_nodes(nodes)], {}
+        taylor, xs, memo = _mp_taylor(f), [mpmath.mpf(x) for x in sorted(float(v) for v in nodes)], {}
 
         def dd(lo, hi):
             if (lo, hi) not in memo:
@@ -254,7 +307,8 @@ class TestDividedDifferenceRows:
     """One call over a (rows, p+1) array against one call per row and mpmath."""
 
     # distinct nodes, a cluster below NODE_MERGE_RELTOL, repeated nodes, an
-    # unsorted row mixing them, and rows at the bump's kinks -1 and 1
+    # unsorted row mixing them, rows at the bump's kinks -1 and 1, rows
+    # across one kink or both, and rows outside the bump's support
     ROWS = [
         [-0.7, -0.2, 0.3, 0.5, 0.9],
         [-0.4, 0.1, 0.1 + 3e-9, 0.1 + 6e-9, 0.8],
@@ -262,6 +316,11 @@ class TestDividedDifferenceRows:
         [0.9, -0.3, 0.5, -0.3, 0.5 + 1e-9],
         [-1.0, -1.0, -1.0, 0.2, 0.7],
         [0.3, 1.0 - 4e-9, 1.0, 1.0, 1.0 + 4e-9],
+        [-1.3, -0.8, -0.8, 0.4, 0.6],
+        [0.5, 0.9, 1.2, 1.4, 1.7],
+        [-1.5, -0.3, 0.2, 0.8, 1.4],
+        [-1.6, -1.4, -1.2, -1.0, -1.0],
+        [1.1, 1.2, 1.2, 1.5, 2.0],
     ]
     FUNCTIONS = {
         "rational": weight_multiply(rational_from_poles([0.3 + 0.9j, 0.3 - 0.9j, -0.5 + 1.4j, -0.5 + 1.4j]), 1),
@@ -285,8 +344,15 @@ class TestDividedDifferenceRows:
         f = bump(-1.0, 1.0, smoothness=2)
         fine = [[-0.7, -0.2, 0.3, 0.5, 0.9], [-1.0, -1.0, -1.0, 0.2, 0.7]]  # order 2 at a kink
         assert np.all(np.isfinite(divided_difference(f, np.array(fine))))
-        # order 3 at a kink: four repeated nodes, or a cluster of four merged onto one
-        for bad in ([0.1, 1.0, 1.0, 1.0, 1.0], [0.4, -1.0 - 4e-9, -1.0, -1.0 + 2e-9, -1.0 + 4e-9]):
+        # s+1 = 3 equal nodes at each kink: the count is per kink
+        assert np.isfinite(divided_difference(f, [-1.0, -1.0, -1.0, 1.0, 1.0, 1.0]))
+        # order 3 at a kink (four repeated nodes), a cluster of four around a
+        # kink (order 4 across it), and distinct nodes of order s+2 = 4 across one
+        for bad in (
+            [0.1, 1.0, 1.0, 1.0, 1.0],
+            [0.4, -1.0 - 4e-9, -1.0, -1.0 + 2e-9, -1.0 + 4e-9],
+            [0.5, 0.7, 0.9, 1.1, 1.3],
+        ):
             with pytest.raises(ValidationError):
                 divided_difference(f, np.array(fine + [bad]))
 

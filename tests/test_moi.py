@@ -20,6 +20,7 @@ from opshift.moi import (
     perturbation_identity,
     taylor_remainder,
 )
+from test_functions import _mp_divided_difference
 
 
 def finite_difference_derivative(f, H, V, k, step=1e-3):
@@ -125,7 +126,7 @@ class TestMoiEval:
         assert max(ratios) < 1e3
 
 
-def _reference_sum(symbol, optuple):
+def _reference_sum(symbol, optuple, divided=divided_difference):
     """The operator integral over moi.eigen_tuples, one tuple at a time, and
     the symbol value at every distinct sorted node row that loop reaches."""
     out = np.zeros((optuple.dim, optuple.dim), dtype=complex)
@@ -133,7 +134,7 @@ def _reference_sum(symbol, optuple):
     for nodes, prod in eigen_tuples(optuple.operators, optuple.arguments):
         row = tuple(sorted(nodes))
         if row not in values:
-            values[row] = divided_difference(symbol.weighted, row)
+            values[row] = divided(symbol.weighted, row)
         out += values[row] * prod
     return out, values
 
@@ -201,16 +202,20 @@ class TestEngineAgainstReference:
     """moi_eval's eigenbasis chain against the per-tuple projection loop."""
 
     @staticmethod
-    def _compare(monkeypatch, kind, Hs, Vs):
+    def _compare(monkeypatch, kind, Hs, Vs, independent=False):
+        # an independent reference takes its divided differences from 60-digit
+        # mpmath at the same float eigenvalues
         symbol = MoiSymbol(_SYMBOLS[kind], 0, len(Vs))
         optuple = OperatorTuple(tuple(Hs), tuple(Vs))
-        ref, ref_values = _reference_sum(symbol, optuple)
+        ref, ref_values = _reference_sum(symbol, optuple, _mp_divided_difference if independent else divided_difference)
         calls = []
 
         def counted(f, rows):  # the reference's value where it has one, to halve the run time
-            rows = list(map(tuple, rows.tolist()))
-            calls.extend(rows)
-            return np.array([ref_values[row] if row in ref_values else divided_difference(f, row) for row in rows])
+            keys = list(map(tuple, rows.tolist()))
+            calls.extend(keys)
+            if independent:
+                return divided_difference(f, rows)
+            return np.array([ref_values[row] if row in ref_values else divided_difference(f, row) for row in keys])
 
         monkeypatch.setattr(moi, "divided_difference", counted)
         got = moi_eval(symbol, optuple)
@@ -226,7 +231,10 @@ class TestEngineAgainstReference:
     @pytest.mark.parametrize("spectrum", sorted(_SPECTRA))
     @pytest.mark.parametrize("d, p", [(5, 3), (8, 2)])
     def test_special_spectra(self, monkeypatch, kind, spectrum, d, p):
-        self._compare(monkeypatch, kind, *_SPECTRA[spectrum](300 + 10 * d + p, d, p))
+        # bumps and polynomials at eigenvalues 1e-7 apart check against mpmath:
+        # the engine and the per-tuple loop share divided_difference
+        independent = spectrum == "separated-1e-7" and kind in ("bump", "polynomial")
+        self._compare(monkeypatch, kind, *_SPECTRA[spectrum](300 + 10 * d + p, d, p), independent)
 
     def test_remainder_peak_memory_stays_under_one_megabyte(self):
         # the chunks over H_0 clusters bound the node-code rows; with the whole
@@ -284,6 +292,16 @@ class TestTaylorRemainder:
         f = PolynomialFunction((1.0, -2.0, 0.5))  # degree 2
         out = taylor_remainder(f, H, V, 3, "direct")
         assert np.max(np.abs(out)) < 1e-12
+
+    @pytest.mark.parametrize("method", ["direct", "moi"])
+    def test_polynomial_below_order_vanishes_at_close_eigenvalues(self, method):
+        # R_5(x^4) = 0 exactly; two eigenvalues of H 1e-6 apart stay two
+        # clusters, so the order-5 divided differences see close nodes
+        rng = rng_stream(19, 0)
+        H = _conjugated(rng, np.array([-0.6, 0.2, 0.2 + 1e-6, 0.7]))
+        V = random_hermitian(rng, 4, 0.1)
+        out = taylor_remainder(PolynomialFunction((0.0, 0.0, 0.0, 0.0, 1.0)), H, V, 5, method)
+        assert np.max(np.abs(out)) < 1e-13
 
     def test_pure_power_leaves_vn(self):
         H, V = random_pair(rng_stream(13, 0), 3, 1.0, 0.8)
