@@ -4,10 +4,14 @@ A signature is a word over {L, 0, R} prescribing, for each argument
 slot, on which side resolvents are attached.  The machinery here covers
 
 * the checked-operator construction (the four-case resolvent table),
+* the terms of the expansion along a signature: one enumerator,
+  :func:`_expansion_terms`, gives every index tuple with its sign and
+  weight power,
 * the scalar expansion identity for divided-difference symbols,
 * the operator expansion of a generic integral into weighted integrals
-  of resolvent-dressed arguments,
-* the alternating-signature decompositions used for Taylor remainders,
+  of resolvent-dressed arguments, and through it the alternating-
+  signature decompositions used for Taylor remainders and the three
+  single-step identities (expansions along one-letter signatures),
 * the mixed-norm product bounding trace measures, and
 * the constructive trace measure: the trace of U_0 T_{g^[m]}(U_1..U_m)
   as an integral of g^(m) u^(m+2) against an explicit piecewise density,
@@ -152,14 +156,19 @@ def signature_for_J(J, m: int) -> EpsilonSignature:
 
 
 # ---------------------------------------------------------------------------
-# scalar expansion identity
+# expansion terms and the scalar expansion identity
 
 
-def _index_tuples(m, k, must_contain):
-    must = set(must_contain)
-    for combo in itertools.combinations(range(m + 1), k + 1):
-        if must.issubset(combo):
-            yield combo
+def _expansion_terms(eps: EpsilonSignature):
+    """The terms of the expansion along eps, in order: (sign, k, weight
+    power, index tuple) for k = max(0, q-1)..m over the (k+1)-subsets of
+    0..m that contain the zero set, with sign (-1)^(m-k) and weight power
+    k-q+1.  The one enumeration behind every expansion in this package."""
+    m, q, zeros = eps.m, eps.q, set(eps.zero_set())
+    for k in range(max(0, q - 1), m + 1):
+        for combo in itertools.combinations(range(m + 1), k + 1):
+            if zeros.issubset(combo):
+                yield (-1) ** (m - k), k, k - q + 1, combo
 
 
 def cov_scalar_identity(g: TestFunction, eps: EpsilonSignature, lambdas):
@@ -167,27 +176,23 @@ def cov_scalar_identity(g: TestFunction, eps: EpsilonSignature, lambdas):
 
     Returns (lhs, rhs, residual, scale) where lhs = g^[m](lambdas) and
     rhs is the signed sum over admissible index tuples of weighted
-    divided differences times reciprocal-u factors.
+    divided differences times reciprocal-u factors, one batched divided
+    difference per order k.
     """
     lam = [float(v) for v in lambdas]
-    m = len(lam) - 1
-    if len(eps) != m + 1:
+    if len(eps) != len(lam):
         raise ValidationError("signature length must match the node count")
-    q = eps.q
-    zeros = eps.zero_set()
     u_factor = math.prod(
-        (_U_INV(lam[i]) for i in range(m + 1) if eps[i] != "0"), start=1.0 + 0.0j
+        (_U_INV(lam[i]) for i in range(len(lam)) if eps[i] != "0"), start=1.0 + 0.0j
     )
     lhs = divided_difference(g, lam)
     rhs = 0.0 + 0.0j
     mag = 0.0
-    for k in range(max(0, q - 1), m + 1):
-        fk = weight_multiply(g, k - q + 1)
-        combos = list(_index_tuples(m, k, zeros))
-        if combos:
-            terms = (-1.0) ** (m - k) * divided_difference(fk, np.array(lam)[np.array(combos)]) * u_factor
-            rhs += terms.sum()
-            mag += np.abs(terms).sum()
+    for _, group in itertools.groupby(_expansion_terms(eps), key=lambda t: t[1]):
+        signs, _, powers, combos = zip(*group)
+        terms = signs[0] * divided_difference(weight_multiply(g, powers[0]), np.array(lam)[np.array(combos)]) * u_factor
+        rhs += terms.sum()
+        mag += np.abs(terms).sum()
     scale = 1.0 + abs(lhs) + mag
     return lhs, rhs, abs(lhs - rhs), scale
 
@@ -223,13 +228,27 @@ def _product_descriptor(i, j):
     return "V(" + ",".join(str(t) for t in range(i + 1, j + 1)) + ")"
 
 
+def _dressed_terms(eps: EpsilonSignature, Hs, args):
+    """The terms of :func:`_expansion_terms` with the checked products
+    around each: (sign, k, weight power, index tuple, left, inner arguments,
+    right), where left = checked[1..i_0], the inner arguments run between
+    consecutive indices, and right = checked[i_k+1..m]."""
+    m, dim = len(args), Hs[0].dim
+    # slot 0 is never touched by the expansion products; a placeholder keeps
+    # the checked list aligned with the argument indexing 1..m
+    checked = build_check_operators(eps, Hs, [np.zeros((dim, dim))] + list(args))
+    for sign, k, power, combo in _expansion_terms(eps):
+        inner = [checked_product(checked, a, b, dim) for a, b in zip(combo[:-1], combo[1:])]
+        left, right = checked_product(checked, 0, combo[0], dim), checked_product(checked, combo[-1], m, dim)
+        yield sign, k, power, combo, left, inner, right
+
+
 def cov_expand(g: TestFunction, eps: EpsilonSignature, Hs, Vs) -> CovExpansion:
     """Expand T_{g^[m]}(V_1..V_m) along a signature.
 
     The left side is the plain spectral-sum evaluation; the right side
-    sums, over k = max(0, q-1)..m and index tuples containing the zero
-    set of the signature, products of checked arguments around weighted
-    integrals of (g u^(k-q+1))^[k].
+    sums, over the terms of :func:`_expansion_terms`, products of checked
+    arguments around weighted integrals of (g u^(k-q+1))^[k].
     """
     m = len(Vs)
     if len(Hs) != m + 1 or len(eps) != m + 1:
@@ -237,40 +256,17 @@ def cov_expand(g: TestFunction, eps: EpsilonSignature, Hs, Vs) -> CovExpansion:
     dim = Hs[0].dim
     args = [np.asarray(v.entries if isinstance(v, HermitianOperator) else v, dtype=complex) for v in Vs]
     lhs = moi_eval(MoiSymbol(g, 0, m), OperatorTuple(tuple(Hs), tuple(args)))
-    # slot 0 is never touched by the expansion products; a placeholder keeps
-    # the checked list aligned with the argument indexing 1..m
-    checked = build_check_operators(eps, Hs, [np.zeros((dim, dim))] + args)
-    q = eps.q
-    zeros = eps.zero_set()
     rhs = np.zeros((dim, dim), dtype=complex)
     terms = []
     mag = 0.0
-    for k in range(max(0, q - 1), m + 1):
-        power = k - q + 1
-        for combo in _index_tuples(m, k, zeros):
-            left = checked_product(checked, 0, combo[0], dim)
-            right = checked_product(checked, combo[-1], m, dim)
-            inner_ops = tuple(Hs[i] for i in combo)
-            inner_args = tuple(checked_product(checked, a, b, dim) for a, b in zip(combo[:-1], combo[1:]))
-            core = moi_eval(MoiSymbol(g, power, k), OperatorTuple(inner_ops, inner_args))
-            value = left @ core @ right
-            sign = (-1) ** (m - k)
-            rhs = rhs + sign * value
-            mag += float(np.linalg.norm(value, 2))
-            terms.append(
-                ExpansionTerm(
-                    sign=sign,
-                    k=k,
-                    indices=combo,
-                    weight_power=power,
-                    value=value,
-                    left_descriptor=_product_descriptor(0, combo[0]),
-                    inner_descriptors=tuple(
-                        _product_descriptor(a, b) for a, b in zip(combo[:-1], combo[1:])
-                    ),
-                    right_descriptor=_product_descriptor(combo[-1], m),
-                )
-            )
+    for sign, k, power, combo, left, inner, right in _dressed_terms(eps, Hs, args):
+        core = moi_eval(MoiSymbol(g, power, k), OperatorTuple(tuple(Hs[i] for i in combo), tuple(inner)))
+        value = left @ core @ right
+        rhs = rhs + sign * value
+        mag += float(np.linalg.norm(value, 2))
+        inner_desc = tuple(_product_descriptor(a, b) for a, b in zip(combo[:-1], combo[1:]))
+        left_desc, right_desc = _product_descriptor(0, combo[0]), _product_descriptor(combo[-1], m)
+        terms.append(ExpansionTerm(sign, k, combo, power, value, left_desc, inner_desc, right_desc))
     residual = float(np.linalg.norm(lhs - rhs, 2))
     scale = 1.0 + float(np.linalg.norm(lhs, 2)) + mag
     return CovExpansion(tuple(terms), lhs, rhs, residual, scale)
@@ -296,50 +292,33 @@ def corollary_expand(f: TestFunction, parity: str, Hs, Vs) -> CovExpansion:
 
 
 def basic_change_of_variables(f: TestFunction, Hs, Vs, variant, j=None):
-    """The three single-step weight-shift identities.
+    """The three single-step weight-shift identities, as :func:`cov_expand`
+    along one-letter signatures.
 
-    variant "left": resolvent extracted at the first operator,
-    "inner": at argument slot j (1 <= j <= n-1), "right": at the last.
-    Returns (lhs, rhs, residual, scale).
+    variant "left" extracts the resolvent at the first operator,
+    signature (R, 0, ..., 0); "inner" at argument slot j (1 <= j <= n-1),
+    L at slot j and 0 elsewhere; "right" at the last, (0, ..., 0, L).
+    Each expansion has two terms: T_{(fu)^[n]} with one argument dressed
+    by the resolvent, minus T_{f^[n-1]} with the resolvent slot removed.
+    Returns (lhs, rhs, residual, scale) with scale 1 + |lhs| + |rhs|.
     """
     n = len(Vs)
     if len(Hs) != n + 1:
         raise ValidationError("need n+1 operators")
-    args = [np.asarray(v.entries if isinstance(v, HermitianOperator) else v, dtype=complex) for v in Vs]
-    fu = weight_multiply(f, 1)
-    lhs = moi_eval(MoiSymbol(f, 0, n), OperatorTuple(tuple(Hs), tuple(args)))
+    ent = ["0"] * (n + 1)
     if variant == "left":
-        r0 = Hs[0].resolvent()
-        t1 = r0 @ moi_eval(MoiSymbol(fu, 0, n), OperatorTuple(tuple(Hs), tuple(args)))
-        t2 = r0 @ args[0] @ moi_eval(
-            MoiSymbol(f, 0, n - 1), OperatorTuple(tuple(Hs[1:]), tuple(args[1:]))
-        )
-        rhs = t1 - t2
+        ent[0] = "R"
     elif variant == "inner":
         if j is None or not (1 <= j <= n - 1):
             raise ValidationError("inner variant needs 1 <= j <= n-1")
-        rj = Hs[j].resolvent()
-        dressed = list(args)
-        dressed[j - 1] = args[j - 1] @ rj
-        t1 = moi_eval(MoiSymbol(fu, 0, n), OperatorTuple(tuple(Hs), tuple(dressed)))
-        merged = list(args)
-        merged[j - 1] = args[j - 1] @ rj @ args[j]
-        del merged[j]
-        ops = tuple(Hs[:j]) + tuple(Hs[j + 1 :])
-        t2 = moi_eval(MoiSymbol(f, 0, n - 1), OperatorTuple(ops, tuple(merged)))
-        rhs = t1 - t2
+        ent[j] = "L"
     elif variant == "right":
-        rn = Hs[n].resolvent()
-        t1 = moi_eval(MoiSymbol(fu, 0, n), OperatorTuple(tuple(Hs), tuple(args))) @ rn
-        t2 = moi_eval(
-            MoiSymbol(f, 0, n - 1), OperatorTuple(tuple(Hs[:-1]), tuple(args[:-1]))
-        ) @ args[-1] @ rn
-        rhs = t1 - t2
+        ent[n] = "L"
     else:
         raise ValidationError("variant must be 'left', 'inner' or 'right'")
-    residual = float(np.linalg.norm(lhs - rhs, 2))
-    scale = 1.0 + float(np.linalg.norm(lhs, 2)) + float(np.linalg.norm(rhs, 2))
-    return lhs, rhs, residual, scale
+    exp = cov_expand(f, EpsilonSignature(tuple(ent)), Hs, Vs)
+    scale = 1.0 + float(np.linalg.norm(exp.lhs, 2)) + float(np.linalg.norm(exp.rhs, 2))
+    return exp.lhs, exp.rhs, exp.residual, scale
 
 
 # ---------------------------------------------------------------------------
@@ -553,14 +532,15 @@ def _sum_kernels(nodes, weights, m, hull):
     return density, sum(abs(w) for w in weights.tolist()) / math.factorial(m)
 
 
-def trace_via_measure(U0, g: TestFunction, Us, Hs, J=(), alphas=None, n=2) -> TraceMeasureReport:
+def trace_via_measure(U0, g: TestFunction, Us, Hs) -> TraceMeasureReport:
     """Trace of U_0 T_{g^[m]}(U_1..U_m) as an explicit weighted integral.
 
     The measure is assembled from eigen-tuple weights and divided-
     difference kernels, so the integral side never touches the operator
     integral; the trace side evaluates the plain spectral sum.  The
     report also carries the measure norm and its ratio against the
-    mixed-norm product (with the supplied or uniform exponents).
+    mixed-norm product with J empty and every exponent m+1, that is the
+    product of the Schatten-(m+1) norms of U_0..U_m.
     """
     m = len(Us)
     if len(Hs) != m + 1:
@@ -575,10 +555,8 @@ def trace_via_measure(U0, g: TestFunction, Us, Hs, J=(), alphas=None, n=2) -> Tr
     residual = abs(trace_direct - integral)
     scale = 1.0 + abs(trace_direct) + total_weight * max(1.0, g.sup_deriv(m, *_hull(Hs)))
     measure_norm = measure.norm()
-    if alphas is None:
-        alphas = tuple(float(m + 1) for _ in range(m + 1)) if m >= 1 else (1.0,)
-        J = ()
-    report = pJ_alpha([u0] + mats, list(Hs), J, alphas, n)
+    # with J empty, r = 0 and the Schatten index n of pJ_alpha has no effect
+    report = pJ_alpha([u0] + mats, list(Hs), (), (float(m + 1),) * (m + 1), 2)
     ratio = measure_norm / report.p_value if report.p_value > 0 else math.inf if measure_norm > 0 else 0.0
     return TraceMeasureReport(
         measure=measure,

@@ -35,8 +35,8 @@ HERMITICITY_REJECT_TOL = 1e-6
 
 
 def default_cluster_tolerance(norm):
-    # divided differences at nearly coincident nodes are unstable; clustering
-    # routes them to the confluent path
+    # divided differences take any nodes; clustering bounds the number of
+    # eigenvalue-cluster tuples and keeps the knots of the kernels apart
     return 1e-9 * (1.0 + norm)
 
 
@@ -95,12 +95,11 @@ class HermitianOperator:
             self._resolvent = r
         return self._resolvent
 
-    def decomposition(self, cluster_tolerance=None):
-        if cluster_tolerance is None:
-            if self._decomp is None:
-                self._decomp = spectral_decompose(self, default_cluster_tolerance(self.norm()))
-            return self._decomp
-        return spectral_decompose(self, cluster_tolerance)
+    def decomposition(self):
+        """Spectral decomposition at the default clustering tolerance; cached."""
+        if self._decomp is None:
+            self._decomp = spectral_decompose(self, default_cluster_tolerance(self.norm()))
+        return self._decomp
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
@@ -152,13 +151,6 @@ class SpectralDecomposition:
             out = out + lam * p
         return out
 
-    def apply(self, values):
-        """Sum of values[j] * P_j."""
-        out = np.zeros_like(self.projections[0])
-        for v, p in zip(values, self.projections):
-            out = out + complex(v) * p
-        return out
-
     def verify(self):
         """Residuals of the defining invariants, for tests and reports."""
         eye = np.eye(self.dim)
@@ -205,12 +197,6 @@ def spectral_decompose(H, cluster_tolerance=None) -> SpectralDecomposition:
     return SpectralDecomposition(np.array(eigenvalues), U, labels, float(cluster_tolerance))
 
 
-def _eval_scalar_function(f, x):
-    if hasattr(f, "eval_deriv"):
-        return complex(f.eval_deriv(0, x))
-    return complex(f(x))
-
-
 def _check_poles_off(f, values, what="spectrum"):
     for z in getattr(f, "poles", lambda: ())():
         dist = min(abs(complex(z) - v) for v in values)
@@ -219,13 +205,16 @@ def _check_poles_off(f, values, what="spectrum"):
 
 
 def func_calculus(f, H) -> np.ndarray:
-    """f(H) = sum f(lambda_j) P_j for a scalar function f."""
+    """f(H) = sum f(lambda_j) P_j = X diag(f(lambda_labels)) X^* in the
+    eigenbasis, with f (any object with ``eval_deriv``) evaluated once over
+    all cluster eigenvalues."""
     if not isinstance(H, HermitianOperator):
         H = HermitianOperator(H)
     dec = H.decomposition()
     _check_poles_off(f, dec.eigenvalues)
-    vals = [_eval_scalar_function(f, lam) for lam in dec.eigenvalues]
-    return dec.apply(vals)
+    vals = np.asarray(f.eval_deriv(0, dec.eigenvalues), dtype=complex)
+    X = dec.eigenvectors
+    return (X * vals[dec.labels]) @ X.conj().T
 
 
 def schatten_norm(A, p) -> float:

@@ -25,11 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cov import WeightedTraceMeasure, alternating_signature, build_check_operators, checked_product, eigen_tuple_density
+from .cov import WeightedTraceMeasure, _dressed_terms, alternating_signature, corollary_expand, eigen_tuple_density
 from .errors import ValidationError
 from .functions import PolynomialFunction, TestFunction, bump, class_membership, weight_multiply
 from .linalg import HermitianOperator, schatten_norm
-from .moi import MoiSymbol, OperatorTuple, moi_eval, taylor_remainder
+# moi_eval stays importable here: bench/tracing.py patches it at this import site
+from .moi import moi_eval, taylor_remainder  # noqa: F401
 from .piecewise import (
     DiscreteMeasure,
     PiecewisePolynomial,
@@ -501,61 +502,36 @@ class RpTermReport:
 def rp_term_measures(H, V, n, parity, family) -> dict:
     """Per-term decomposition of the remainder trace with explicit measures.
 
-    Splits Tr R_m into the alternating-signature terms indexed by the
-    weight order p, builds the measure of each term from eigen data,
-    verifies each per-p trace formula on the family, and checks that the
-    signed sum of per-p traces reproduces the full remainder trace.
+    Splits Tr R_m into the terms of the alternating-signature expansion
+    (:func:`opshift.cov.corollary_expand`) grouped by their order p.  The
+    measure of order p sums the eigen-tuple densities of its terms, each
+    with U_0 = right * left, the checked products around the term.  For
+    each family member the per-p traces come from the expansion's term
+    values and are checked against the integrals of (f u^w)^(p) against
+    the measure, and the signed sum, the trace of the expansion's right
+    side, against the full remainder trace.
     """
     m, _ = _orders_for(n, parity)
     ops, args = remainder_pattern(H, V, m)
     Hs = list(ops)
-    dim = H.dim
-    eps = alternating_signature(m)
-    checked = build_check_operators(eps, Hs, [np.zeros((dim, dim))] + list(args))
-
-    if parity == "odd":
-        tuple_sets = {p: list(itertools.combinations(range(m + 1), p + 1)) for p in range(m + 1)}
-        sign = {p: (-1) ** (p + 1) for p in range(m + 1)}
-        weight = {p: p + 1 for p in range(m + 1)}
-    else:
-        tuple_sets = {
-            p: [combo + (m,) for combo in itertools.combinations(range(m), p)] if p >= 1 else [(m,)]
-            for p in range(m + 1)
-        }
-        sign = {p: (-1) ** p for p in range(m + 1)}
-        weight = {p: p for p in range(m + 1)}
-
+    expansions = [corollary_expand(f, parity, Hs, args) for f in family]
     reports = []
-    per_p_traces = {p: np.zeros(len(family), dtype=complex) for p in range(m + 1)}
-    for p in range(m + 1):
+    for p, group in itertools.groupby(_dressed_terms(alternating_signature(m), Hs, args), key=lambda t: t[1]):
         density = None
-        for combo in tuple_sets[p]:
-            if parity == "odd":
-                u0 = checked_product(checked, combo[-1], m, dim) @ checked_product(checked, 0, combo[0], dim)
-            else:
-                u0 = checked_product(checked, 0, combo[0], dim)
-            inner_ops = [Hs[i] for i in combo]
-            inner_args = [checked_product(checked, a, b, dim) for a, b in zip(combo[:-1], combo[1:])]
-            dens_i, _ = eigen_tuple_density(u0, inner_args, inner_ops)
+        for sign, _, power, combo, left, inner, right in group:
+            dens_i, _ = eigen_tuple_density(right @ left, inner, [Hs[i] for i in combo])
             density = dens_i if density is None else density + dens_i
-            for fi, f in enumerate(family):
-                g = weight_multiply(f, weight[p])
-                core = moi_eval(MoiSymbol(g, 0, p), OperatorTuple(tuple(inner_ops), tuple(inner_args)))
-                per_p_traces[p][fi] += complex(np.trace(u0 @ core))
-        measure = WeightedTraceMeasure(density, p + 2)
-        residuals = []
-        for fi, f in enumerate(family):
-            g = weight_multiply(f, weight[p])
-            integral = integral_against_derivative(g, p, density)
-            residuals.append(abs(per_p_traces[p][fi] - integral))
-        reports.append(
-            RpTermReport(p, sign[p], measure, tuple(residuals), tuple(complex(v) for v in per_p_traces[p]))
-        )
+        # every term of order p carries the same sign and weight power
+        traces = [sum(complex(np.trace(t.value)) for t in exp.terms if t.k == p) for exp in expansions]
+        residuals = [
+            abs(trace - integral_against_derivative(weight_multiply(f, power), p, density))
+            for f, trace in zip(family, traces)
+        ]
+        reports.append(RpTermReport(p, sign, WeightedTraceMeasure(density, p + 2), tuple(residuals), tuple(traces)))
 
     sum_residuals = []
-    for fi, f in enumerate(family):
-        total = sum(sign[p] * per_p_traces[p][fi] for p in range(m + 1))
+    for f, exp in zip(family, expansions):
+        total = complex(np.trace(exp.rhs))
         direct = complex(np.trace(taylor_remainder(f, H, V, m, "direct")))
         sum_residuals.append(abs(total - direct) / (1.0 + abs(direct)))
     return {"terms": reports, "signed_sum_residuals": tuple(sum_residuals)}
-

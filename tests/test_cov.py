@@ -23,9 +23,9 @@ from opshift.cov import (
 )
 from opshift.ensembles import random_hermitian, rng_stream
 from opshift.errors import ValidationError
-from opshift.functions import GaussianFunction, PolynomialFunction, rational_from_poles
+from opshift.functions import GaussianFunction, PolynomialFunction, rational_from_poles, weight_multiply
 from opshift.linalg import HermitianOperator, schatten_norm
-from opshift.moi import eigen_tuples
+from opshift.moi import MoiSymbol, OperatorTuple, eigen_tuples, moi_eval
 
 
 def random_signature(rng, m):
@@ -200,6 +200,40 @@ class TestOperatorExpansion:
         assert {"sign", "indices", "weight_power"} <= set(dump[0])
 
 
+def _parity_table(m):
+    """The alternating expansion's terms written out per parity: odd m takes
+    every (p+1)-subset of 0..m with sign (-1)^(p+1) and weight power p+1;
+    even m takes the subsets that contain m, with sign (-1)^p and power p."""
+    if m % 2:
+        return [((-1) ** (p + 1), p, p + 1, c) for p in range(m + 1) for c in itertools.combinations(range(m + 1), p + 1)]
+    return [((-1) ** p, p, p, c + (m,)) for p in range(m + 1) for c in itertools.combinations(range(m), p)]
+
+
+class TestExpansionTerms:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_alternating_signature_matches_parity_tables(self, m):
+        assert list(cov._expansion_terms(alternating_signature(m))) == _parity_table(m)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_basic_signatures_give_two_terms(self, n):
+        # +(f u)^[n] over every slot, then -f^[n-1] without the resolvent's slot
+        full = tuple(range(n + 1))
+        words = [("R",) + ("0",) * n, ("0",) * n + ("L",)] + [
+            tuple("L" if i == j else "0" for i in range(n + 1)) for j in range(1, n)
+        ]
+        dropped = [0, n] + list(range(1, n))
+        for word, slot in zip(words, dropped):
+            rest = tuple(i for i in full if i != slot)
+            assert list(cov._expansion_terms(EpsilonSignature(word))) == [(-1, n - 1, 0, rest), (1, n, 1, full)]
+
+    def test_terms_are_grouped_by_ascending_order(self):
+        rng = rng_stream(35, 0)
+        for _ in range(50):
+            eps = random_signature(rng, int(rng.integers(1, 7)))
+            ks = [k for _, k, _, _ in cov._expansion_terms(eps)]
+            assert ks == sorted(ks) and ks[0] == max(0, eps.q - 1) and ks[-1] == eps.m
+
+
 class TestCorollary:
     def test_odd_random(self):
         g = rational_from_poles([2j, -1 - 1.5j, 1 + 2j, -0.5 - 1j, 1.5 + 1j])
@@ -267,6 +301,56 @@ class TestBasicChangeOfVariables:
         for variant in ("left", "right"):
             _, _, res, scale = basic_change_of_variables(g, Hs, Vs, variant)
             assert res <= 1e-11 * scale
+
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_matches_hand_built_identities(self, n):
+        g = rational_from_poles([2j, -1 - 1.5j, 1 + 2j])
+        Hs, Vs = ops_and_args(40 + n, 3, n)
+        lhs_ref = _integral(g, Hs, Vs)
+        for variant, j in [("left", None), ("right", None)] + [("inner", j) for j in range(1, n)]:
+            lhs, rhs, res, scale = basic_change_of_variables(g, Hs, Vs, variant, j)
+            ref = _basic_reference(g, Hs, Vs, variant, j)
+            assert np.array_equal(lhs, lhs_ref)
+            assert scale == 1.0 + np.linalg.norm(lhs, 2) + np.linalg.norm(rhs, 2)
+            assert np.linalg.norm(rhs - ref, 2) <= 1e-13 * scale
+            assert np.linalg.norm(lhs - ref, 2) <= 1e-10 * scale
+            assert res <= 1e-10 * scale
+
+    def test_validation(self):
+        g = rational_from_poles([2j, -1 - 1j])
+        Hs, Vs = ops_and_args(45, 2, 2)
+        with pytest.raises(ValidationError, match="n\\+1 operators"):
+            basic_change_of_variables(g, Hs[:-1], Vs, "left")
+        for j in (None, 0, 2):
+            with pytest.raises(ValidationError, match="inner variant"):
+                basic_change_of_variables(g, Hs, Vs, "inner", j)
+        with pytest.raises(ValidationError, match="variant must be"):
+            basic_change_of_variables(g, Hs, Vs, "middle")
+
+
+def _integral(f, Hs, Vs, weight=0):
+    return moi_eval(MoiSymbol(weight_multiply(f, weight), 0, len(Vs)), OperatorTuple(tuple(Hs), tuple(Vs)))
+
+
+def _basic_reference(f, Hs, Vs, variant, j=None):
+    """The single-step identities written out as t1 - t2, independent of the
+    signature expansion: the resolvent stays outside the weighted integral
+    for "left" and "right" and dresses argument j for "inner"."""
+    n = len(Vs)
+    if variant == "left":
+        r0 = Hs[0].resolvent()
+        return r0 @ _integral(f, Hs, Vs, 1) - r0 @ Vs[0] @ _integral(f, Hs[1:], Vs[1:])
+    if variant == "right":
+        rn = Hs[n].resolvent()
+        return _integral(f, Hs, Vs, 1) @ rn - _integral(f, Hs[:-1], Vs[:-1]) @ Vs[-1] @ rn
+    rj = Hs[j].resolvent()
+    dressed = list(Vs)
+    dressed[j - 1] = Vs[j - 1] @ rj
+    merged = list(Vs)
+    merged[j - 1] = Vs[j - 1] @ rj @ Vs[j]
+    del merged[j]
+    return _integral(f, Hs, dressed, 1) - _integral(f, Hs[:j] + Hs[j + 1 :], merged)
 
 
 class TestPJAlpha:

@@ -104,6 +104,17 @@ class TestFuncCalculus:
         out = func_calculus(Exp(), HermitianOperator(np.diag([0.0, math.log(2.0)])))
         assert np.max(np.abs(out - np.diag([1.0, 2.0]))) < 1e-12
 
+    def test_clustered_spectrum_is_the_sum_over_projections(self):
+        # a pair 1e-12 apart forms one cluster; f is taken once, at its mean
+        rng = rng_stream(12, 0)
+        Q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        H = HermitianOperator(Q @ np.diag([0.3, 0.3 + 1e-12, 5.0]) @ Q.conj().T)
+        f = rational_from_poles([2j, -1 - 1j])
+        dec = H.decomposition()
+        assert dec.multiplicities() == [2, 1]
+        ref = sum(complex(f.eval_deriv(0, lam)) * p for lam, p in zip(dec.eigenvalues, dec.projections))
+        assert np.max(np.abs(func_calculus(f, H) - ref)) < 1e-14
+
     def test_algebra_morphism_on_products(self):
         H = hermitian(3, 4, norm=1.5)
         f = rational_from_poles([2j, -1 - 1j])
