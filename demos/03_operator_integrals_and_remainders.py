@@ -12,7 +12,6 @@ from opshift import (
     OperatorTuple,
     frechet_derivative,
     moi_eval,
-    moi_eval_separated_rational,
     rational_from_poles,
     taylor_remainder,
 )
@@ -32,11 +31,18 @@ fd = (func_calculus(f, HermitianOperator(H.entries + step * V.entries))
 print("first derivative vs central difference:", np.linalg.norm(D1 - fd, 2))
 
 # --- separated evaluation for simple-pole rationals ----------------------------
+# f = scale / prod_i (x - z_i) = sum_i c_i / (x - z_i), so its second-order integral
+# over (H, H+V, H) is sum_i c_i (H - z_i)^-1 V (H+V - z_i)^-1 V (H - z_i)^-1
 
 sym = MoiSymbol(f, 0, 2)
 tup = OperatorTuple((H, H + V, H), (V.entries, V.entries))
 spectral_sum = moi_eval(sym, tup)
-pole_sum = moi_eval_separated_rational(sym, tup)
+poles = [z for z, _ in f.factors]
+pole_sum = 0
+for z in poles:
+    c = f.scale / np.prod([z - w for w in poles if w != z])
+    R = [np.linalg.inv(h.entries - z * np.eye(H.dim)) for h in tup.operators]
+    pole_sum = pole_sum + c * R[0] @ V.entries @ R[1] @ V.entries @ R[2]
 print("spectral sum vs pole decomposition:    ", np.linalg.norm(spectral_sum - pole_sum, 2))
 
 # --- Taylor remainders: direct subtraction vs the integral form ----------------

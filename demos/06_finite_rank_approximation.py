@@ -22,7 +22,7 @@ V = random_hermitian(rng, 4, 0.8)
 
 eigs = np.sort(np.abs(H.decomposition().eigenvalues))
 windows = [float(e) + 1e-9 for e in eigs] + [float(eigs[-1]) + 1.0]
-seq = finite_rank_sequence(H, V, n=2, windows=windows)
+seq = finite_rank_sequence(H, V, windows=windows)
 print("windows:", [round(w, 3) for w in seq.windows])
 print("ranks:  ", seq.ranks)
 print("norm domination:", [round(t.norm(), 4) for t in seq.terms], "<=", round(V.norm(), 4))

@@ -36,10 +36,8 @@ from .piecewise import DiscreteMeasure, PiecewisePolynomial, integral_against_de
 from .moi import (
     MoiSymbol,
     OperatorTuple,
-    eigen_tuples,
     frechet_derivative,
     moi_eval,
-    moi_eval_separated_rational,
     perturbation_identity,
     taylor_remainder,
 )

@@ -3,10 +3,11 @@
 A perturbation V is approximated by V_k = P_k V P_k, at its numerical
 rank, with P_k the spectral projection of H onto a growing window.  On
 matrices the sequence reaches V exactly once the window covers the
-spectrum; the module validates the mechanism: norm domination,
-the factor-two Schatten bound, monotone defects, remainder-trace
-suprema over normalized bump families, and L1 convergence of the shift
-densities along the sequence.
+spectrum.  P_k commutes with R = (H - i)^-1, so |P_k V P_k| <= |V| and
+|R P_k V P_k R|_n <= |R V R|_n hold for every window; the module
+reports the convergence along the sequence: Schatten and resolvent
+defects, remainder-trace suprema over normalized bump families, and L1
+distances of the shift densities.
 """
 
 from __future__ import annotations
@@ -35,18 +36,16 @@ class ApproximationSequence:
     terms: tuple  # HermitianOperator per window
     windows: tuple
     ranks: tuple
-    dropped: tuple  # windows whose term violated the factor-two bound
 
     def __post_init__(self):
         if len(self.terms) != len(self.windows) or len(self.ranks) != len(self.terms):
             raise ValidationError("terms, windows and ranks must align")
 
 
-def finite_rank_sequence(H: HermitianOperator, V: HermitianOperator, n, windows) -> ApproximationSequence:
+def finite_rank_sequence(H: HermitianOperator, V: HermitianOperator, windows) -> ApproximationSequence:
     """V_k = P_k V P_k at its numerical rank, P_k = E_H((-w, w)).
 
     The rank counts the eigenvalues of P_k V P_k above 1e-14 (1 + |V|).
-    Terms violating the factor-two resolvent-dressed bound are dropped.
     """
     if len(windows) == 0:
         raise ValidationError("need at least one window")
@@ -54,10 +53,8 @@ def finite_rank_sequence(H: HermitianOperator, V: HermitianOperator, n, windows)
     if any(b <= a for a, b in zip(ws, ws[1:])):
         raise ValidationError("windows must be increasing")
     dec = H.decomposition()
-    rH = H.resolvent()
-    dressed_full = schatten_norm(rH @ V.entries @ rH, n)
     spectrum_radius = float(np.max(np.abs(dec.eigenvalues)))
-    terms, kept_windows, ranks, dropped = [], [], [], []
+    terms, ranks = [], []
     for w in ws:
         proj = np.zeros((H.dim, H.dim), dtype=complex)
         for lam, p in zip(dec.eigenvalues, dec.projections):
@@ -75,17 +72,9 @@ def finite_rank_sequence(H: HermitianOperator, V: HermitianOperator, n, windows)
             keep = order[:rank]
             mat = (vec_c[:, keep] * lam_c[keep]) @ vec_c[:, keep].conj().T
             vk = HermitianOperator(0.5 * (mat + mat.conj().T))
-        dressed_k = schatten_norm(rH @ vk.entries @ rH, n)
-        if dressed_full > 0 and dressed_k > 2.0 * dressed_full + 1e-12 * (1.0 + dressed_full):
-            dropped.append(w)
-            continue
-        if vk.norm() > V.norm() + 1e-12 * (1.0 + V.norm()):
-            dropped.append(w)
-            continue
         terms.append(vk)
-        kept_windows.append(w)
         ranks.append(rank)
-    return ApproximationSequence(tuple(terms), tuple(kept_windows), tuple(ranks), tuple(dropped))
+    return ApproximationSequence(tuple(terms), tuple(ws), tuple(ranks))
 
 
 @dataclass(frozen=True)
@@ -95,10 +84,6 @@ class ConvergenceRow:
     schatten_defect: float
     resolvent_defect: float
     triple_product_defects: tuple
-
-
-_V_CHOICES = ("V", "Vk", "V-Vk")
-_H_CHOICES = ("H", "H+V", "H+Vk")
 
 
 def _pick_v(choice, V, Vk):

@@ -38,36 +38,11 @@ from .cov import (
     trace_via_measure,
 )
 from .ensembles import admissible_family, normalized_bump_family, random_hermitian, random_pair, real_rational, rng_stream
-from .errors import BudgetError, ValidationError
+from .errors import ValidationError
 from .functions import PolynomialFunction
 from .linalg import HermitianOperator
 from .moi import OperatorTuple, perturbation_identity, taylor_remainder
 from .ssf import _orders_for, remainder_pattern, ssf_compute, verify_trace_formula, weight_exponent_survey, weighted_norm_and_scaling
-
-DEFAULT_CONFIG = {
-    "seed": 42,
-    "dims": [2, 3],
-    "n": 2,
-    "parity": "both",
-    "ensemble": 2,
-    "family": {"count": 6, "spread": 2.0},
-    "scalar_samples": 40,
-    "operator_samples": 12,
-    "tolerances": {
-        "identity": 1e-9,
-        "scalar": 1e-10,
-        "trace": 1e-8,
-        "perturbation": 1e-9,
-        "polynomial_vanish": 1e-12,
-        "slope_margin": 0.1,
-        "sup_final": 1e-10,
-        "eta_l1_final": 1e-8,
-        "imag_residue": 1e-10,
-        "atom_mass": 1e-10,
-    },
-    "ssf": {"h": {"dim": 1, "re": [[0.0]], "im": [[0.0]]}, "v": {"dim": 1, "re": [[1.0]], "im": [[0.0]]}, "orders": [3], "grid_points": 201},
-    "approx": {"dim": 4, "h_norm": 2.0, "v_norm": 0.8, "m": 3, "bumps": 10},
-}
 
 _PARITIES = {"odd": ("odd",), "even": ("even",), "both": ("odd", "even")}
 
@@ -87,8 +62,14 @@ class ExperimentConfig:
     approx: dict
 
     def validate(self):
+        for name in ("family", "tolerances", "ssf", "approx"):
+            if not isinstance(getattr(self, name), dict):
+                raise ValidationError(f"{name} must be an object")
         if self.n not in (2, 3):
             raise ValidationError("n must be 2 or 3")
+        for name, items in (("dims", self.dims), ("ssf.orders", self.ssf["orders"])):
+            if not isinstance(items, list) or not items:
+                raise ValidationError(f"{name} must be a non-empty list")
         if any(d < 1 or d > 16 for d in self.dims):
             raise ValidationError("dims must lie in 1..16 for full-tuple experiments")
         if self.parity not in _PARITIES:
@@ -96,12 +77,23 @@ class ExperimentConfig:
         for name, tol in self.tolerances.items():
             if name != "slope_margin" and not tol > 0:
                 raise ValidationError(f"tolerance {name} must be positive")
-        if self.ensemble < 1:
-            raise ValidationError("ensemble size must be positive")
+        counts = [
+            ("ensemble", self.ensemble, 1),
+            ("scalar_samples", self.scalar_samples, 1),
+            ("operator_samples", self.operator_samples, 1),
+            ("family.count", self.family["count"], 1),
+            ("approx.dim", self.approx["dim"], 1),
+            ("approx.bumps", self.approx["bumps"], 1),
+            ("approx.m", self.approx["m"], 3),
+            ("ssf.grid_points", self.ssf["grid_points"], 2),
+        ] + [("ssf.orders", m, 1) for m in self.ssf["orders"]]
+        for name, value, low in counts:
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValidationError(f"{name} must be an integer >= {low}")
 
     @staticmethod
     def load(path=None, seed_override=None):
-        data = json.loads(json.dumps(DEFAULT_CONFIG))
+        data = json.loads(Path(__file__).with_name("default.json").read_text())
         if path is not None:
             with open(path) as fh:
                 user = json.load(fh)
@@ -207,34 +199,33 @@ def suite_verify_identities(cfg: ExperimentConfig):
         _, _, res, scale = basic_change_of_variables(g, Hs, Vs, variant, j)
         worst = max(worst, res / scale)
     _check(checks, "moi.weight_shift_single", "single-step resolvent extraction identities", worst, tol["identity"])
-    return checks
+    return checks, {}
 
 
-def suite_ssf(cfg: ExperimentConfig, out_dir: Path, grid_override=None):
+def suite_ssf(cfg: ExperimentConfig, out_dir: Path):
     checks = []
     tol = cfg.tolerances
     hspec, vspec = cfg.ssf["h"], cfg.ssf["v"]
     H = HermitianOperator(np.asarray(hspec["re"], dtype=float) + 1j * np.asarray(hspec["im"], dtype=float))
     V = HermitianOperator(np.asarray(vspec["re"], dtype=float) + 1j * np.asarray(vspec["im"], dtype=float))
-    grid_points = int(grid_override or cfg.ssf.get("grid_points", 201))
     for m in cfg.ssf["orders"]:
-        eta = ssf_compute(H, V, int(m))
+        eta = ssf_compute(H, V, m)
         _check(checks, f"ssf.imag_residue.m{m}", "construction is real-valued", eta.imag_residue, tol["imag_residue"] * eta.scale)
         _check(checks, f"ssf.atom_mass.m{m}", "density carries no atomic mass", eta.density.atomic_mass(), tol["atom_mass"])
-        ops, args = remainder_pattern(H, V, int(m))
+        ops, args = remainder_pattern(H, V, m)
         reference, _ = kernel_sum_density(np.eye(H.dim), list(args), list(ops))
         gap = (eta.density - reference.real_part()).coefficient_scale()
         _check(checks, f"ssf.kernel_fold.m{m}", "array fold equals the sum of its Peano kernels", gap, tol["identity"] * eta.scale)
         payload = eta.density.to_json_dict()
-        payload["order"] = int(m)
+        payload["order"] = m
         (out_dir / f"eta_{m}.json").write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
         lo, hi = eta.support()
         pad = 0.05 * (hi - lo if hi > lo else 1.0)
-        xs = np.linspace(lo - pad, hi + pad, grid_points)
+        xs = np.linspace(lo - pad, hi + pad, cfg.ssf["grid_points"])
         rows = eta.density.sample_rows(xs)
         csv = "x,value\n" + "\n".join(f"{x!r},{v!r}" for x, v in rows) + "\n"
         (out_dir / f"eta_{m}.csv").write_text(csv)
-    return checks
+    return checks, {}
 
 
 def suite_trace_formula(cfg: ExperimentConfig):
@@ -248,7 +239,7 @@ def suite_trace_formula(cfg: ExperimentConfig):
         H, V = random_pair(rng, dim, 1.0, 0.6)
         for parity in _PARITIES[cfg.parity]:
             m, k_weight = _orders_for(cfg.n, parity)
-            family = admissible_family(rng, cfg.family["count"], m, k_weight, cfg.family.get("spread", 2.0))
+            family = admissible_family(rng, cfg.family["count"], m, k_weight, cfg.family["spread"])
             rep = verify_trace_formula(H, V, cfg.n, parity, family)
             worst[parity] = max(worst[parity], rep.max_relative_residual)
             for k in range(m):
@@ -258,7 +249,7 @@ def suite_trace_formula(cfg: ExperimentConfig):
     for parity, value in worst.items():
         _check(checks, f"ssf.trace_formula_{parity}", f"remainder trace equals density integral ({parity})", value, tol["trace"])
     _check(checks, "ssf.polynomial_vanishing", "remainder trace vanishes on low-degree monomials", vanish, tol["polynomial_vanish"])
-    return checks
+    return checks, {}
 
 
 def suite_bounds(cfg: ExperimentConfig):
@@ -313,21 +304,21 @@ def suite_approx(cfg: ExperimentConfig, out_dir: Path):
     checks = []
     tol = cfg.tolerances
     rng = rng_stream(cfg.seed, 6)
-    dim = int(cfg.approx["dim"])
-    H = random_hermitian(rng, dim, cfg.approx.get("h_norm", 2.0))
-    V = random_hermitian(rng, dim, cfg.approx.get("v_norm", 0.8))
+    dim = cfg.approx["dim"]
+    H = random_hermitian(rng, dim, cfg.approx["h_norm"])
+    V = random_hermitian(rng, dim, cfg.approx["v_norm"])
     eigs = np.sort(np.abs(H.decomposition().eigenvalues))
     windows = [float(e) + 1e-9 for e in eigs] + [float(eigs[-1]) + 1.0]
-    seq = finite_rank_sequence(H, V, cfg.n, windows)
+    seq = finite_rank_sequence(H, V, windows)
     norm_ok = all(t.norm() <= V.norm() + 1e-12 * (1 + V.norm()) for t in seq.terms)
     _check(checks, "approx.norm_domination", "truncations never exceed the perturbation norm", 0.0, 1.0, ok=norm_ok)
     rows = convergence_report(H, V, seq, cfg.n)
     sdef = [r.schatten_defect for r in rows]
     _check(checks, "approx.schatten_final", "dressed Schatten defect vanishes at the full window", sdef[-1], tol["sup_final"])
-    m = int(cfg.approx.get("m", 3))
+    m = cfg.approx["m"]
     lo = float(np.min(H.decomposition().eigenvalues)) - V.norm() - 1.0
     hi = float(np.max(H.decomposition().eigenvalues)) + V.norm() + 1.0
-    bumps = normalized_bump_family(rng, int(cfg.approx.get("bumps", 6)), (lo, hi), m)
+    bumps = normalized_bump_family(rng, cfg.approx["bumps"], (lo, hi), m)
     sups = remainder_sup_experiment(H, V, seq, m, bumps)
     _check(checks, "approx.remainder_sup_final", "remainder-trace sup vanishes at the full window", sups[-1], tol["sup_final"])
     mono = all(b <= a + 1e-12 for a, b in zip(sups, sups[1:]))
@@ -338,25 +329,24 @@ def suite_approx(cfg: ExperimentConfig, out_dir: Path):
     for i, r in enumerate(rows):
         lines.append(f"{i + 1},{r.window!r},{r.rank},{r.schatten_defect!r},{r.resolvent_defect!r},{sups[i]!r}")
     (out_dir / "convergence.csv").write_text("\n".join(lines) + "\n")
-    return checks
+    return checks, {}
 
 
 SUITES = {
-    "verify-identities": lambda cfg, out, grid: suite_verify_identities(cfg),
-    "ssf": lambda cfg, out, grid: suite_ssf(cfg, out, grid),
-    "trace-formula": lambda cfg, out, grid: suite_trace_formula(cfg),
-    "bounds": lambda cfg, out, grid: suite_bounds(cfg),
-    "approx": lambda cfg, out, grid: suite_approx(cfg, out),
+    "verify-identities": lambda cfg, out: suite_verify_identities(cfg),
+    "ssf": lambda cfg, out: suite_ssf(cfg, out),
+    "trace-formula": lambda cfg, out: suite_trace_formula(cfg),
+    "bounds": lambda cfg, out: suite_bounds(cfg),
+    "approx": lambda cfg, out: suite_approx(cfg, out),
 }
 
 
-def run(command, cfg: ExperimentConfig, out_dir: Path, grid=None) -> int:
+def run(command, cfg: ExperimentConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     names = list(SUITES) if command == "all" else [command]
     suites = {}
     for name in names:
-        result = SUITES[name](cfg, out_dir, grid)
-        checks, data = result if isinstance(result, tuple) else (result, {})
+        checks, data = SUITES[name](cfg, out_dir)
         suites[name] = {"checks": checks, "pass": all(c["pass"] for c in checks)}
         if data:
             suites[name]["data"] = data
@@ -380,7 +370,7 @@ def run(command, cfg: ExperimentConfig, out_dir: Path, grid=None) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="opshift", description="operator-calculus verification suites")
     parser.add_argument("command", choices=list(SUITES) + ["all"])
-    parser.add_argument("--config", type=str, default=None, help="JSON config path (defaults embedded)")
+    parser.add_argument("--config", type=str, default=None, help="JSON config path (omitted keys take configs/default.json)")
     parser.add_argument("--out", type=str, default="out", help="output directory for reports")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
@@ -391,13 +381,16 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 2
     try:
         cfg = ExperimentConfig.load(args.config, args.seed)
+        if args.grid is not None:
+            cfg.ssf["grid_points"] = args.grid
+            cfg.validate()
     except (OSError, json.JSONDecodeError, ValidationError, TypeError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
         return 2
     try:
-        return run(args.command, cfg, Path(args.out), args.grid)
-    except BudgetError as exc:
+        return run(args.command, cfg, Path(args.out))
+    except ValidationError as exc:  # includes BudgetError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

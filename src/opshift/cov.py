@@ -385,11 +385,6 @@ class WeightedTraceMeasure:
     density: PiecewisePolynomial
     weight_exponent: int
 
-    def integrate_weighted_derivative(self, g: TestFunction, order: int):
-        """Integral of g^(order) * u^weight_exponent d(mu): that of g^(order)
-        against the density."""
-        return integral_against_derivative(g, order, self.density)
-
     def norm(self):
         """Total variation: the integral of |u|^(-w) |density| =
         (1+x^2)^(-w/2) |density(x)| plus the atoms, by the split
@@ -551,7 +546,7 @@ def trace_via_measure(U0, g: TestFunction, Us, Hs) -> TraceMeasureReport:
     measure = WeightedTraceMeasure(density, m + 2)
     core = moi_eval(MoiSymbol(g, 0, m), OperatorTuple(tuple(Hs), tuple(mats)))
     trace_direct = complex(np.trace(u0 @ core))
-    integral = measure.integrate_weighted_derivative(g, m)
+    integral = integral_against_derivative(g, m, density)
     residual = abs(trace_direct - integral)
     scale = 1.0 + abs(trace_direct) + total_weight * max(1.0, g.sup_deriv(m, *_hull(Hs)))
     measure_norm = measure.norm()

@@ -68,9 +68,6 @@ class TestFunction:
     support: tuple | None = None
     kink_points: tuple = ()
 
-    def eval(self, x):
-        return self.eval_deriv(0, x)
-
     def __call__(self, x):
         return self.eval_deriv(0, x)
 

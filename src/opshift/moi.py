@@ -27,9 +27,7 @@ __all__ = [
     "MoiSymbol",
     "OperatorTuple",
     "check_tuple_budget",
-    "eigen_tuples",
     "moi_eval",
-    "moi_eval_separated_rational",
     "frechet_derivative",
     "taylor_remainder",
     "perturbation_identity",
@@ -101,41 +99,6 @@ def check_tuple_budget(operators):
     if n_tuples > TUPLE_BUDGET:
         raise BudgetError(f"{n_tuples} eigenvalue tuples exceed the budget {TUPLE_BUDGET}")
     return decs
-
-
-def eigen_tuples(operators, arguments):
-    """Reference loop: yield (nodes, product) for every eigen-tuple with a
-    nonzero product.  No evaluator calls it; the tests compare against it.
-
-    For operators H_0..H_p with clustered spectral projections P^k_j and
-    arguments A_1..A_p, the product of the tuple (j_0, ..., j_p) is
-    P^0_{j0} A_1 P^1_{j1} ... A_p P^p_{jp} and its nodes are the matching
-    eigenvalues.  Tuples come in lexicographic order, tuples with a common
-    head share its prefix product, and any tuple crossing an exactly zero
-    block P^k_a A_{k+1} P^{k+1}_b is skipped.  The tuple count is checked
-    against ``TUPLE_BUDGET`` before any block is built.
-    """
-    decs = check_tuple_budget(operators)
-    eigs = [d.eigenvalues.tolist() for d in decs]
-    p = len(arguments)
-    # blocks[k][a] lists (b, P^k_a A_{k+1} P^{k+1}_b) over the nonzero blocks only
-    blocks = []
-    for k, v in enumerate(arguments):
-        row = []
-        for pa in decs[k].projections:
-            pairs = ((b, pa @ v @ pb) for b, pb in enumerate(decs[k + 1].projections))
-            row.append([(b, blk) for b, blk in pairs if np.any(blk)])
-        blocks.append(row)
-
-    def extend(k, a, nodes, prod):
-        if k == p:
-            yield nodes, prod
-            return
-        for b, blk in blocks[k][a]:
-            yield from extend(k + 1, b, nodes + (eigs[k + 1][b],), blk if prod is None else prod @ blk)
-
-    for a, proj in enumerate(decs[0].projections):
-        yield from extend(0, a, (eigs[0][a],), proj if p == 0 else None)
 
 
 # elements per intermediate array of an eigenbasis chain: the clusters of H_0
@@ -226,39 +189,6 @@ def moi_eval(symbol: MoiSymbol, optuple: OperatorTuple) -> np.ndarray:
         terms.flat[hit] = np.array([cache[row] for row in rows])[group] * chain.flat[hit]
         core[lo:hi] = terms.sum(axis=tuple(range(1, p)))
     return decs[0].eigenvectors @ core @ decs[p].eigenvectors.conj().T
-
-
-def moi_eval_separated_rational(symbol: MoiSymbol, optuple: OperatorTuple) -> np.ndarray:
-    """Independent cross-check for simple-pole rational symbols.
-
-    For f = scale * prod_i (x - z_i)^(-1) the divided difference
-    separates, f^[p](l_0..l_p) = sum_i c_i (-1)^p prod_j (l_j - z_i)^(-1),
-    so the operator integral is a pole-indexed sum of resolvent products.
-    Only simple poles and no numerator factors are supported.
-    """
-    f = symbol.weighted
-    if getattr(f, "kind", None) != "rational":
-        raise ValidationError("separated evaluation needs a rational symbol")
-    if any(m != 1 for _, m in f.factors):
-        raise ValidationError("separated evaluation needs simple poles only")
-    poles = [z for z, _ in f.factors]
-    p = optuple.order
-    if symbol.order != p:
-        raise ValidationError("symbol order must match the argument count")
-    dim = optuple.dim
-    out = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(dim)
-    for i, zi in enumerate(poles):
-        # partial-fraction coefficient of 1/(x - z_i)
-        ci = complex(f.scale)
-        for j, zj in enumerate(poles):
-            if j != i:
-                ci /= zi - zj
-        piece = np.linalg.inv(optuple.operators[0].entries - zi * eye)
-        for k in range(p):
-            piece = piece @ optuple.arguments[k] @ np.linalg.inv(optuple.operators[k + 1].entries - zi * eye)
-        out = out + ci * (-1.0) ** p * piece
-    return out
 
 
 def frechet_derivative(f: TestFunction, H: HermitianOperator, V, k: int) -> np.ndarray:

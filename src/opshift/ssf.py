@@ -10,8 +10,7 @@ eta_m is an exact piecewise polynomial: the remainder is one operator
 integral with operator pattern (H, H+V, H, ..., H), its trace is a sum
 of eigen-tuple weights times divided differences, and each divided
 difference is the integral of f^(m) against a B-spline kernel.  The
-module also keeps the first-order eigenvalue-counting construction as a
-reference, and provides a reconstruction used for uniqueness tests,
+module also provides a reconstruction used for uniqueness tests,
 weighted-norm scaling reports, per-term trace measures, and the
 antiderivative-based measure weight shift.
 """
@@ -120,30 +119,6 @@ def ssf_compute(H: HermitianOperator, V: HermitianOperator, m: int) -> SpectralS
         imag_residue=imag,
         scale=max(1.0, density.coefficient_scale(), total_weight),
     )
-
-
-def _ssf_counting(H, V):
-    """eta_1 as the difference of eigenvalue counting functions."""
-    dh = H.decomposition()
-    dhv = (H + V).decomposition()
-    pts = []
-    for lam, mult in zip(dh.eigenvalues, dh.multiplicities()):
-        pts.append((float(lam), mult))
-    for lam, mult in zip(dhv.eigenvalues, dhv.multiplicities()):
-        pts.append((float(lam), -mult))
-    xs = sorted(set(x for x, _ in pts))
-    if len(xs) == 1:
-        density = PiecewisePolynomial.zero((xs[0], xs[0] + 1.0))
-        return SpectralShiftDensity(1, density, "counting", 0.0, 1.0)
-    # eta_1 = N_H - N_{H+V}, right-continuous on half-open intervals
-    values = []
-    for lo in xs[:-1]:
-        count = sum(mult for x, mult in pts if x <= lo)
-        values.append(float(count))
-    density = PiecewisePolynomial(
-        np.asarray(xs, dtype=float), tuple(np.array([v], dtype=complex) for v in values)
-    )
-    return SpectralShiftDensity(1, density, "counting", 0.0, max(1.0, density.coefficient_scale()))
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,7 @@ def test_criterion_10_finite_rank_convergence():
     V = random_hermitian(rng, 4, 0.8)
     eigs = np.sort(np.abs(H.decomposition().eigenvalues))
     windows = [float(e) + 1e-9 for e in eigs] + [float(eigs[-1]) + 1.0]
-    seq = finite_rank_sequence(H, V, 2, windows)
+    seq = finite_rank_sequence(H, V, windows)
     rH = H.resolvent()
     dressed_full = schatten_norm(rH @ V.entries @ rH, 2)
     invariants = all(t.norm() <= V.norm() + 1e-12 for t in seq.terms) and all(

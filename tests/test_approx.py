@@ -24,7 +24,7 @@ class TestFiniteRankSequence:
         rng = rng_stream(80, 0)
         H = random_hermitian(rng, 4, 2.0)
         V = random_hermitian(rng, 4, 0.8)
-        seq = finite_rank_sequence(H, V, 2, [H.norm() + 1.0])
+        seq = finite_rank_sequence(H, V, [H.norm() + 1.0])
         assert len(seq.terms) == 1
         assert np.array_equal(seq.terms[0].entries, V.entries)
 
@@ -32,7 +32,7 @@ class TestFiniteRankSequence:
         rng = rng_stream(81, 0)
         H = random_hermitian(rng, 3, 1.0)
         V = HermitianOperator(np.zeros((3, 3)))
-        seq = finite_rank_sequence(H, V, 2, [0.5, 2.0])
+        seq = finite_rank_sequence(H, V, [0.5, 2.0])
         for t in seq.terms:
             assert np.max(np.abs(t.entries)) == 0.0
 
@@ -40,7 +40,7 @@ class TestFiniteRankSequence:
         # H = diag(0, 10), window (-1, 1): only the (0, 0) block survives
         H = HermitianOperator(np.diag([0.0, 10.0]))
         V = HermitianOperator(np.array([[0.5, 0.2], [0.2, -0.3]]))
-        seq = finite_rank_sequence(H, V, 1, [1.0, 11.0])
+        seq = finite_rank_sequence(H, V, [1.0, 11.0])
         vk = seq.terms[0].entries
         assert vk[0, 0] == pytest.approx(0.5)
         assert abs(vk[0, 1]) < 1e-14 and abs(vk[1, 1]) < 1e-14
@@ -49,7 +49,7 @@ class TestFiniteRankSequence:
         rng = rng_stream(82, 0)
         H = random_hermitian(rng, 6, 2.0)
         V = random_hermitian(rng, 6, 0.9)
-        seq = finite_rank_sequence(H, V, 2, spectrum_windows(H))
+        seq = finite_rank_sequence(H, V, spectrum_windows(H))
         rH = H.resolvent()
         dressed_full = schatten_norm(rH @ V.entries @ rH, 2)
         for t in seq.terms:
@@ -60,7 +60,7 @@ class TestFiniteRankSequence:
         rng = rng_stream(83, 0)
         H = random_hermitian(rng, 5, 2.0)
         V = random_hermitian(rng, 5, 0.8)
-        seq = finite_rank_sequence(H, V, 2, spectrum_windows(H))
+        seq = finite_rank_sequence(H, V, spectrum_windows(H))
         xs = rng_stream(83, 1).standard_normal((20, 5))
         worst = [max(np.linalg.norm((t.entries - V.entries) @ x) for x in xs) for t in seq.terms]
         assert worst[-1] <= 1e-12
@@ -71,9 +71,9 @@ class TestFiniteRankSequence:
         H = random_hermitian(rng, 3, 1.0)
         V = random_hermitian(rng, 3, 0.5)
         with pytest.raises(ValidationError):
-            finite_rank_sequence(H, V, 2, [])
+            finite_rank_sequence(H, V, [])
         with pytest.raises(ValidationError):
-            finite_rank_sequence(H, V, 2, [2.0, 1.0])
+            finite_rank_sequence(H, V, [2.0, 1.0])
 
 
 class TestConvergenceReport:
@@ -81,7 +81,7 @@ class TestConvergenceReport:
         rng = rng_stream(85, 0)
         H = random_hermitian(rng, 6, 2.0)
         V = random_hermitian(rng, 6, 0.8)
-        seq = finite_rank_sequence(H, V, 2, spectrum_windows(H))
+        seq = finite_rank_sequence(H, V, spectrum_windows(H))
         rows = convergence_report(H, V, seq, 2)
         sdef = [r.schatten_defect for r in rows]
         rdef = [r.resolvent_defect for r in rows]
@@ -93,7 +93,7 @@ class TestConvergenceReport:
         rng = rng_stream(86, 0)
         H = random_hermitian(rng, 4, 1.5)
         V = random_hermitian(rng, 4, 0.7)
-        seq = finite_rank_sequence(H, V, 2, [H.norm() + 1.0])
+        seq = finite_rank_sequence(H, V, [H.norm() + 1.0])
         all_choices = [
             (vc, h1, h2)
             for vc in ("V", "Vk", "V-Vk")
@@ -109,7 +109,7 @@ class TestRemainderSup:
         rng = rng_stream(87, 0)
         H = random_hermitian(rng, 3, 1.5)
         V = random_hermitian(rng, 3, 0.6)
-        seq = finite_rank_sequence(H, V, 2, [H.norm() + 1.0])
+        seq = finite_rank_sequence(H, V, [H.norm() + 1.0])
         bumps = normalized_bump_family(rng_stream(87, 1), 3, (-4, 4), 3)
         sups = remainder_sup_experiment(H, V, seq, 3, bumps)
         assert sups[-1] == 0.0
@@ -121,7 +121,7 @@ class TestRemainderSup:
         f = bump(-2.0, 2.0, smoothness=5)
         sup3 = f.sup_deriv(3)
         f = bump(-2.0, 2.0, smoothness=5, prefactor=(1.0 / sup3,))
-        seq = finite_rank_sequence(H, V, 2, [0.5, 1.0])
+        seq = finite_rank_sequence(H, V, [0.5, 1.0])
         sups = remainder_sup_experiment(H, V, seq, 3, [f])
         def remainder(v):
             val, _ = quad(lambda x: np.real(f.eval_deriv(3, x)) * (v - x) ** 2 / 2.0, 0.0, v)
@@ -135,7 +135,7 @@ class TestRemainderSup:
         rng = rng_stream(41, 0)
         H = random_hermitian(rng, 4, 2.0)
         V = random_hermitian(rng, 4, 0.8)
-        seq = finite_rank_sequence(H, V, 2, spectrum_windows(H))
+        seq = finite_rank_sequence(H, V, spectrum_windows(H))
         bumps = normalized_bump_family(rng_stream(41, 3), 10, (-4, 4), 3)
         sups = remainder_sup_experiment(H, V, seq, 3, bumps)
         assert all(b <= a + 1e-15 for a, b in zip(sups, sups[1:]))
@@ -145,7 +145,7 @@ class TestRemainderSup:
         rng = rng_stream(88, 0)
         H = random_hermitian(rng, 3, 1.0)
         V = random_hermitian(rng, 3, 0.5)
-        seq = finite_rank_sequence(H, V, 2, [H.norm() + 1.0])
+        seq = finite_rank_sequence(H, V, [H.norm() + 1.0])
         wild = bump(-1.0, 1.0, smoothness=5, prefactor=(100.0,))
         with pytest.raises(ValidationError):
             remainder_sup_experiment(H, V, seq, 3, [wild])
@@ -154,7 +154,7 @@ class TestRemainderSup:
         rng = rng_stream(89, 0)
         H = random_hermitian(rng, 3, 1.0)
         V = random_hermitian(rng, 3, 0.5)
-        seq = finite_rank_sequence(H, V, 2, [H.norm() + 1.0])
+        seq = finite_rank_sequence(H, V, [H.norm() + 1.0])
         with pytest.raises(ValidationError):
             remainder_sup_experiment(H, V, seq, 2, [])
 
@@ -164,7 +164,7 @@ class TestShiftDensityPipeline:
         rng = rng_stream(90, 0)
         H = random_hermitian(rng, 4, 1.5)
         V = random_hermitian(rng, 4, 0.7)
-        seq = finite_rank_sequence(H, V, 2, spectrum_windows(H))
+        seq = finite_rank_sequence(H, V, spectrum_windows(H))
         dists = shift_density_convergence(H, V, seq, 3)
         assert dists[-1] <= 1e-8
         assert dists[0] >= dists[-1]

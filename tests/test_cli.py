@@ -10,6 +10,7 @@ import pytest
 
 from opshift import cli, cov
 from opshift.cli import ExperimentConfig, main
+from opshift.errors import ValidationError
 from opshift.piecewise import PiecewisePolynomial
 
 
@@ -25,6 +26,47 @@ class TestConfig:
     def test_built_in_defaults_match_the_shipped_config(self):
         shipped = Path(__file__).resolve().parents[1] / "configs" / "default.json"
         assert ExperimentConfig.load(None) == ExperimentConfig.load(str(shipped))
+
+    def test_package_defaults_are_the_shipped_config(self):
+        import tomllib
+
+        root = Path(__file__).resolve().parents[1]
+        assert Path(cli.__file__).with_name("default.json").samefile(root / "configs" / "default.json")
+        meta = tomllib.loads((root / "pyproject.toml").read_text())
+        assert "default.json" in meta["tool"]["setuptools"]["package-data"]["opshift"]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"approx": None},
+            {"approx": {"bumps": "ten"}},
+            {"ssf": {"orders": [0]}},
+            {"ssf": {"grid_points": -3}},
+            {"dims": []},
+            {"ssf": {"orders": []}},
+            {"approx": {"m": 2}},
+            {"scalar_samples": 0},
+            {"operator_samples": 0},
+            {"family": {"count": 0}},
+            {"approx": {"bumps": 0}},
+        ],
+    )
+    def test_invalid_config_exit_2(self, tmp_path, capsys, config):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(config))
+        assert run_cli(["all", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "error: invalid configuration" in capsys.readouterr().err
+
+    def test_grid_below_two_exit_2(self, tmp_path):
+        assert run_cli(["ssf", "--grid", "0", "--out", str(tmp_path / "o")]) == 2
+
+    def test_validation_error_inside_a_suite_exit_2(self, tmp_path, monkeypatch, capsys):
+        def rejecting(cfg, out_dir):
+            raise ValidationError("rejected input")
+
+        monkeypatch.setattr(cli, "suite_ssf", rejecting)
+        assert run_cli(["ssf", "--out", str(tmp_path / "o")]) == 2
+        assert "error: rejected input" in capsys.readouterr().err
 
     def test_n_gate(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -96,6 +138,11 @@ class TestSuites:
         out = tmp_path / "out"
         assert run_cli(["ssf", "--out", str(out), "--grid", "51"]) == 0
         assert len((out / "eta_3.csv").read_text().splitlines()) == 52
+
+    def test_grid_flag_is_recorded_in_the_report(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(["ssf", "--out", str(out), "--grid", "51"]) == 0
+        assert json.loads((out / "report.json").read_text())["config"]["ssf"]["grid_points"] == 51
 
     def test_contract_violation_exit_1(self, tmp_path):
         cfg = tmp_path / "cfg.json"

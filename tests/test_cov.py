@@ -25,7 +25,8 @@ from opshift.ensembles import random_hermitian, rng_stream
 from opshift.errors import ValidationError
 from opshift.functions import GaussianFunction, PolynomialFunction, rational_from_poles, weight_multiply
 from opshift.linalg import HermitianOperator, schatten_norm
-from opshift.moi import MoiSymbol, OperatorTuple, eigen_tuples, moi_eval
+from opshift.moi import MoiSymbol, OperatorTuple, moi_eval
+from reference import eigen_tuples
 
 
 def random_signature(rng, m):

@@ -13,13 +13,12 @@ from opshift.linalg import HermitianOperator, func_calculus, schatten_norm
 from opshift.moi import (
     MoiSymbol,
     OperatorTuple,
-    eigen_tuples,
     frechet_derivative,
     moi_eval,
-    moi_eval_separated_rational,
     perturbation_identity,
     taylor_remainder,
 )
+from reference import eigen_tuples, moi_eval_separated_rational
 from test_functions import _mp_divided_difference
 
 

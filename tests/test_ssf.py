@@ -14,7 +14,6 @@ from opshift.ssf import (
     ScalingReport,
     SpectralShiftDensity,
     _poly_on_grid,
-    _ssf_counting,
     measure_weight_shift,
     reconstruct_density,
     rp_term_measures,
@@ -23,6 +22,7 @@ from opshift.ssf import (
     verify_trace_formula,
     weighted_norm_and_scaling,
 )
+from reference import _ssf_counting
 
 
 class TestSsfCompute:
