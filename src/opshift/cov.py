@@ -12,12 +12,14 @@ slot, on which side resolvents are attached.  The machinery here covers
   of resolvent-dressed arguments, and through it the alternating-
   signature decompositions used for Taylor remainders and the three
   single-step identities (expansions along one-letter signatures),
-* the mixed-norm product bounding trace measures, and
+* the mixed-norm product bounding trace measures,
 * the constructive trace measure: the trace of U_0 T_{g^[m]}(U_1..U_m)
   as an integral of g^(m) u^(m+2) against an explicit piecewise density,
   whose tuple weights come from one cycle product in the eigenbases of
   the H_k and whose divided-difference kernels are folded in one array
-  pass.
+  pass, and
+* the remainder traces Tr R_m(f; H, V) of a whole function family from
+  one set of closed-cycle weights per perturbation and order.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from .errors import ValidationError
 from .functions import TestFunction, _bspline_levels, _merge_rows, divided_difference, peano_kernel, weight_multiply
-from .linalg import HermitianOperator, schatten_norm
+from .linalg import HermitianOperator, _check_poles_off, schatten_norm
 from .moi import MoiSymbol, OperatorTuple, _cluster_sum, _eigenbasis_chain, _group_rows, moi_eval
 from .piecewise import PiecewisePolynomial, _weighted_modulus, integral_against_derivative
 
@@ -53,6 +55,7 @@ __all__ = [
     "eigen_tuple_density",
     "kernel_sum_density",
     "trace_via_measure",
+    "remainder_traces",
     "expansion_terms_json",
 ]
 
@@ -258,18 +261,22 @@ def cov_expand(g: TestFunction, eps: EpsilonSignature, Hs, Vs) -> CovExpansion:
     lhs = moi_eval(MoiSymbol(g, 0, m), OperatorTuple(tuple(Hs), tuple(args)))
     rhs = np.zeros((dim, dim), dtype=complex)
     terms = []
-    mag = 0.0
+    weighted = {}
     for sign, k, power, combo, left, inner, right in _dressed_terms(eps, Hs, args):
-        core = moi_eval(MoiSymbol(g, power, k), OperatorTuple(tuple(Hs[i] for i in combo), tuple(inner)))
+        gp = weighted.setdefault(power, weight_multiply(g, power))
+        core = moi_eval(MoiSymbol(gp, 0, k), OperatorTuple(tuple(Hs[i] for i in combo), tuple(inner)))
         value = left @ core @ right
         rhs = rhs + sign * value
-        mag += float(np.linalg.norm(value, 2))
         inner_desc = tuple(_product_descriptor(a, b) for a, b in zip(combo[:-1], combo[1:]))
         left_desc, right_desc = _product_descriptor(0, combo[0]), _product_descriptor(combo[-1], m)
         terms.append(ExpansionTerm(sign, k, combo, power, value, left_desc, inner_desc, right_desc))
-    residual = float(np.linalg.norm(lhs - rhs, 2))
-    scale = 1.0 + float(np.linalg.norm(lhs, 2)) + mag
-    return CovExpansion(tuple(terms), lhs, rhs, residual, scale)
+    # spectral norms of lhs - rhs, lhs and every term from one stacked call;
+    # the term norms are added in order (sum() compensates from Python 3.12)
+    residual, lhs_norm, *norms = np.linalg.svd(np.stack([lhs - rhs, lhs] + [t.value for t in terms]), compute_uv=False).max(axis=-1).tolist()
+    mag = 0.0
+    for norm in norms:
+        mag += norm
+    return CovExpansion(tuple(terms), lhs, rhs, residual, 1.0 + lhs_norm + mag)
 
 
 def corollary_expand(f: TestFunction, parity: str, Hs, Vs) -> CovExpansion:
@@ -477,6 +484,43 @@ def _group_sums(group, weights, count):
     sums.real = np.bincount(group, weights.real, count)
     sums.imag = np.bincount(group, weights.imag, count)
     return sums
+
+
+def remainder_traces(fs, H: HermitianOperator, Vs, m: int) -> np.ndarray:
+    """Tr R_m(f; H, V) = Tr f(H+V) - sum_{k<m} Tr T_{f^[k]}(V, ..., V) for
+    every V in Vs (rows) and f in fs (columns).
+
+    The traces are linear in f with weights that depend on (H, V, k) only:
+    each (V, k) builds its closed-cycle weights once, by
+    :func:`_tuple_weights` on the all-H pattern (the closing factor is I),
+    with the multiplicities of H + V's clusters for Tr f(H+V); each (f, k)
+    takes one divided difference over the node rows of every V.  The
+    subtraction keeps the round-off of Tr f(H+V), about 1e-16 of
+    sum |f(lambda_j)| at any size of V; the remainder integral of
+    :mod:`opshift.ssf` and ``taylor_remainder(method="moi")`` avoid it.
+    """
+    if m < 1:
+        raise ValidationError("remainder order must be at least 1")
+    eye = np.eye(H.dim, dtype=complex)
+    mats = [np.asarray(v.entries if isinstance(v, HermitianOperator) else v, dtype=complex) for v in Vs]
+    sums = [HermitianOperator(H.entries + v) for v in mats]
+    spectra = np.concatenate([h.decomposition().eigenvalues for h in [H] + sums])
+    # per order k: (node rows, signed weights, row of Vs) over every V
+    parts = [[] for _ in range(m)]
+    for i, (v, hv) in enumerate(zip(mats, sums)):
+        parts[0].append((*_tuple_weights(eye, [], [hv]), i))
+        for k in range(m):
+            nodes, weights = _tuple_weights(eye, [v] * k, [H] * (k + 1))
+            parts[k].append((nodes, -weights, i))
+    for f in fs:
+        _check_poles_off(f, spectra, "spectra of H and H + V")
+    out = np.zeros((len(mats), len(fs)), dtype=complex)
+    for blocks in parts:
+        nodes, weights = np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+        owner = np.concatenate([np.full(len(b[1]), b[2]) for b in blocks])
+        for j, f in enumerate(fs):
+            out[:, j] += _group_sums(owner, weights * divided_difference(f, nodes), len(mats))
+    return out
 
 
 # elements per Cox-de Boor level array: _fold_kernels takes the kernels in

@@ -198,10 +198,12 @@ def spectral_decompose(H, cluster_tolerance=None) -> SpectralDecomposition:
 
 
 def _check_poles_off(f, values, what="spectrum"):
-    for z in getattr(f, "poles", lambda: ())():
-        dist = min(abs(complex(z) - v) for v in values)
-        if dist < 1e-12:
-            raise DomainError(f"function pole {z} lies on the {what}")
+    poles = getattr(f, "poles", lambda: ())()
+    if len(poles):
+        dist = np.abs(np.asarray(poles, dtype=complex)[:, None] - np.asarray(values)[None, :])
+        near = np.flatnonzero(dist.min(axis=1) < 1e-12)
+        if len(near):
+            raise DomainError(f"function pole {poles[near[0]]} lies on the {what}")
 
 
 def func_calculus(f, H) -> np.ndarray:

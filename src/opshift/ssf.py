@@ -24,12 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cov import WeightedTraceMeasure, _dressed_terms, alternating_signature, corollary_expand, eigen_tuple_density
+from .cov import WeightedTraceMeasure, _dressed_terms, alternating_signature, corollary_expand, eigen_tuple_density, remainder_traces
 from .errors import ValidationError
 from .functions import PolynomialFunction, TestFunction, bump, class_membership, weight_multiply
 from .linalg import HermitianOperator, schatten_norm
 # moi_eval stays importable here: bench/tracing.py patches it at this import site
-from .moi import moi_eval, taylor_remainder  # noqa: F401
+from .moi import moi_eval  # noqa: F401
 from .piecewise import (
     DiscreteMeasure,
     PiecewisePolynomial,
@@ -163,8 +163,8 @@ def verify_trace_formula(H, V, n, parity, family) -> TraceFormulaReport:
     eta = ssf_compute(H, V, m)
     residuals = []
     traces = []
-    for _, f in admissible:
-        lhs = complex(np.trace(taylor_remainder(f, H, V, m, "direct")))
+    fs = [f for _, f in admissible]
+    for f, lhs in zip(fs, remainder_traces(fs, H, [V], m)[0].tolist()):
         rhs = eta.integrate_against(f)
         residuals.append(abs(lhs - rhs) / (1.0 + abs(lhs)))
         traces.append(lhs)
@@ -337,9 +337,8 @@ def reconstruct_density(H, V, m) -> SpectralShiftDensity:
     # its trace vanish exactly, and quadrature would leave only round-off
     bumps = [f for f in bumps if np.any((grid > f.a) & (grid < f.b))]
     A = np.zeros((len(bumps), n_basis))
-    y = np.zeros(len(bumps))
+    y = np.real(remainder_traces(bumps, H, [V], m)[0])
     for r, f in enumerate(bumps):
-        y[r] = float(np.real(np.trace(taylor_remainder(f, H, V, m, "direct"))))
         for i0 in range(n_int):
             for d in range(m):
                 basis = PiecewisePolynomial(
@@ -505,8 +504,7 @@ def rp_term_measures(H, V, n, parity, family) -> dict:
         reports.append(RpTermReport(p, sign, WeightedTraceMeasure(density, p + 2), tuple(residuals), tuple(traces)))
 
     sum_residuals = []
-    for f, exp in zip(family, expansions):
+    for exp, direct in zip(expansions, remainder_traces(family, H, [V], m)[0].tolist()):
         total = complex(np.trace(exp.rhs))
-        direct = complex(np.trace(taylor_remainder(f, H, V, m, "direct")))
         sum_residuals.append(abs(total - direct) / (1.0 + abs(direct)))
     return {"terms": reports, "signed_sum_residuals": tuple(sum_residuals)}

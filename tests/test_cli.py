@@ -57,6 +57,21 @@ class TestConfig:
         assert run_cli(["all", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "error: invalid configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"ssf": {"h": None}}, "ssf.h must be an object"),
+            ({"family": {"spread": "wide"}}, "family.spread must be a finite number"),
+            ({"approx": {"bumsp": 3}}, "unknown config key approx.bumsp"),
+        ],
+    )
+    def test_invalid_nested_value_exit_2(self, tmp_path, capsys, config, message):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(config))
+        assert run_cli(["all", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert f"error: invalid configuration: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_grid_below_two_exit_2(self, tmp_path):
         assert run_cli(["ssf", "--grid", "0", "--out", str(tmp_path / "o")]) == 2
 

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from opshift import cov, moi
-from opshift.errors import BudgetError
-from opshift.functions import GaussianFunction, rational_from_poles
+from opshift.errors import BudgetError, DomainError, ValidationError
+from opshift.functions import GaussianFunction, PolynomialFunction, bump, rational_from_poles
 from opshift.linalg import HermitianOperator
 from opshift.moi import taylor_remainder
 from opshift.ssf import ssf_compute
@@ -139,3 +139,69 @@ def test_remainder_density_keeps_only_cycle_kernels():
     integral = ssf_compute(H, V, 4).integrate_against(rational_from_poles(poles))
     ref, scale = oracles.rational_remainder_trace(poles, H.entries, V.entries, 4)
     assert abs(integral - ref) / scale <= TOLERANCE
+
+
+# remainder_traces subtracts the Taylor terms from Tr f(H+V), so its
+# round-off is about 1e-16 of sum |f(lambda_j)| whatever the size of V
+def _trace_scale(f, H):
+    return 1.0 + float(np.sum(np.abs(f.eval_deriv(0, np.linalg.eigvalsh(H.entries)))))
+
+
+@pytest.mark.parametrize("vnorm", [1e-1, 1e-2, 1e-3])
+@pytest.mark.parametrize("d, m", [(1, 1), (2, 3), (4, 2), (4, 5), (6, 1), (6, 4), (6, 5)])
+def test_remainder_traces_match_mpmath_closed_form(d, m, vnorm):
+    H, V, poles = _instance([8, d, m, int(-np.log10(vnorm))], d, vnorm)
+    f = rational_from_poles(poles)
+    half = HermitianOperator(0.5 * V.entries)
+    got = cov.remainder_traces([f], H, [V, half], m)[:, 0]
+    for value, W in zip(got, (V, half)):
+        ref = np.trace(_mp_rational_remainder(list(poles), H.entries, W.entries, m))
+        assert abs(value - ref) <= 1e-14 * _trace_scale(f, H)
+
+
+@pytest.mark.parametrize("d, m", [(2, 2), (3, 3), (3, 4)])
+def test_remainder_traces_of_gaussians_match_mpmath(d, m):
+    H, V, poles = _instance([10, d, m], d, 0.3)
+    fs = [GaussianFunction(poles[0].real, poles[0].imag), GaussianFunction(-0.4, 0.5)]
+    got = cov.remainder_traces(fs, H, [V], m)[0]
+    for value, f in zip(got, fs):
+        ref = np.trace(oracles.mp_remainder(oracles.gaussian_taylor(f.center, f.width), H.entries, V.entries, m))
+        assert abs(value - ref) <= 1e-14 * _trace_scale(f, H)
+
+
+@pytest.mark.parametrize("d, m", [(2, 3), (4, 3), (5, 4)])
+def test_remainder_traces_of_bumps_and_polynomials_match_direct_remainders(d, m):
+    H, V, _ = _instance([11, d, m], d, 0.4)
+    fs = [bump(-1.4, 1.1, smoothness=m + 2), bump(-0.3, 0.9, smoothness=m + 1), PolynomialFunction((0.5, 0.0, -1.0, 0.2, 0.0, 0.0, 1.0))]
+    Vs = [V, HermitianOperator(0.1 * V.entries)]
+    got = cov.remainder_traces(fs, H, Vs, m)
+    for row, W in zip(got, Vs):
+        for value, f in zip(row, fs):
+            ref = np.trace(taylor_remainder(f, H, W, m, "direct"))
+            assert abs(value - ref) <= 1e-14 * _trace_scale(f, H)
+
+
+@pytest.mark.parametrize("d, m", [(1, 1), (3, 3), (4, 5)])
+def test_remainder_traces_vanish_below_the_order(d, m):
+    # R_m(x^k) = 0 for k < m: a dropped Taylor term, the k = 0 one too, leaves Tr T_{x^[k]}
+    H, V, _ = _instance([12, d, m], d, 0.5)
+    monos = [PolynomialFunction(tuple([0.0] * k + [1.0])) for k in range(m)]
+    got = cov.remainder_traces(monos, H, [V, HermitianOperator(1e-3 * V.entries)], m)
+    assert np.max(np.abs(got)) <= 1e-13 * d
+
+
+def test_remainder_traces_give_identical_rows_for_a_repeated_perturbation():
+    H, V, poles = _instance([13], 4, 0.5)
+    fs = [rational_from_poles(poles), bump(-1.2, 1.2, smoothness=5), GaussianFunction(0.1, 0.4)]
+    got = cov.remainder_traces(fs, H, [V, HermitianOperator(0.5 * V.entries), V], 3)
+    assert np.array_equal(got[0], got[2])
+
+
+def test_remainder_traces_reject_a_pole_on_the_perturbed_spectrum():
+    H, V, _ = _instance([14], 3, 0.5)
+    mu = float((H + V).decomposition().eigenvalues[1])
+    f = rational_from_poles((complex(mu, 1e-14), complex(mu, -1e-14)))
+    with pytest.raises(DomainError, match="pole"):
+        cov.remainder_traces([f], H, [V], 2)
+    with pytest.raises(ValidationError):
+        cov.remainder_traces([f], H, [V], 0)
