@@ -35,12 +35,10 @@ from .cov import (
     cov_expand,
     cov_scalar_identity,
     kernel_sum_density,
-    remainder_traces,
     trace_via_measure,
 )
 from .ensembles import admissible_family, normalized_bump_family, random_hermitian, random_pair, real_rational, rng_stream
 from .errors import ValidationError
-from .functions import PolynomialFunction
 from .linalg import HermitianOperator
 # taylor_remainder stays importable here: bench/tracing.py patches it at this import site
 from .moi import OperatorTuple, perturbation_identity, taylor_remainder  # noqa: F401
@@ -67,13 +65,13 @@ class ExperimentConfig:
         for name in ("family", "tolerances", "ssf", "approx"):
             if not isinstance(getattr(self, name), dict):
                 raise ValidationError(f"{name} must be an object")
-        if self.n not in (2, 3):
-            raise ValidationError("n must be 2 or 3")
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n not in (2, 3):
+            raise ValidationError("n must be the integer 2 or 3")
         for name, items in (("dims", self.dims), ("ssf.orders", self.ssf["orders"])):
             if not isinstance(items, list) or not items:
                 raise ValidationError(f"{name} must be a non-empty list")
-        if any(d < 1 or d > 16 for d in self.dims):
-            raise ValidationError("dims must lie in 1..16 for full-tuple experiments")
+        if any(isinstance(d, bool) or not isinstance(d, int) or d < 1 or d > 16 for d in self.dims):
+            raise ValidationError("dims must be integers in 1..16 for full-tuple experiments")
         if self.parity not in _PARITIES:
             raise ValidationError("parity must be odd, even or both")
         for name, tol in self.tolerances.items():
@@ -262,8 +260,7 @@ def suite_trace_formula(cfg: ExperimentConfig):
             family = admissible_family(rng, cfg.family["count"], m, k_weight, cfg.family["spread"])
             rep = verify_trace_formula(H, V, cfg.n, parity, family)
             worst[parity] = max(worst[parity], rep.max_relative_residual)
-            monos = [PolynomialFunction(tuple([0.0] * k + [1.0])) for k in range(m)]
-            vanish = max(vanish, float(np.max(np.abs(remainder_traces(monos, H, [V], m)))))
+            vanish = max(vanish, rep.max_monomial_trace)
     for parity, value in worst.items():
         _check(checks, f"ssf.trace_formula_{parity}", f"remainder trace equals density integral ({parity})", value, tol["trace"])
     _check(checks, "ssf.polynomial_vanishing", "remainder trace vanishes on low-degree monomials", vanish, tol["polynomial_vanish"])

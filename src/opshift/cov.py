@@ -9,9 +9,11 @@ slot, on which side resolvents are attached.  The machinery here covers
   weight power,
 * the scalar expansion identity for divided-difference symbols,
 * the operator expansion of a generic integral into weighted integrals
-  of resolvent-dressed arguments, and through it the alternating-
-  signature decompositions used for Taylor remainders and the three
-  single-step identities (expansions along one-letter signatures),
+  of resolvent-dressed arguments, in one eigenbasis pass whose terms of
+  each order come from one batch of eigenbasis chains, and through it
+  the alternating-signature decompositions used for Taylor remainders
+  and the three single-step identities (expansions along one-letter
+  signatures),
 * the mixed-norm product bounding trace measures,
 * the constructive trace measure: the trace of U_0 T_{g^[m]}(U_1..U_m)
   as an integral of g^(m) u^(m+2) against an explicit piecewise density,
@@ -33,7 +35,7 @@ import numpy as np
 from .errors import ValidationError
 from .functions import TestFunction, _bspline_levels, _merge_rows, divided_difference, peano_kernel, weight_multiply
 from .linalg import HermitianOperator, _check_poles_off, schatten_norm
-from .moi import MoiSymbol, OperatorTuple, _cluster_sum, _eigenbasis_chain, _group_rows, moi_eval
+from .moi import MoiSymbol, OperatorTuple, _chain_chunks, _chain_cores, _cluster_codes, _cluster_sum, _eigenbasis_factors, _group_rows, check_tuple_budget, moi_eval
 from .piecewise import PiecewisePolynomial, _weighted_modulus, integral_against_derivative
 
 __all__ = [
@@ -249,27 +251,48 @@ def _dressed_terms(eps: EpsilonSignature, Hs, args):
 def cov_expand(g: TestFunction, eps: EpsilonSignature, Hs, Vs) -> CovExpansion:
     """Expand T_{g^[m]}(V_1..V_m) along a signature.
 
-    The left side is the plain spectral-sum evaluation; the right side
-    sums, over the terms of :func:`_expansion_terms`, products of checked
-    arguments around weighted integrals of (g u^(k-q+1))^[k].
+    The left side is the plain spectral-sum evaluation.  The right side
+    sums the terms of :func:`_expansion_terms` in one eigenbasis pass: with
+    the checked arguments C_j in the eigenbases, E_j = X_{j-1}^* C_j X_j, and
+    their products G_{a,b} = E_{a+1} ... E_b, the term (i_0..i_k) is
+    X_0 G_{0,i_0} core G_{i_k,m} X_m^*.  The cores of all terms of one order
+    k share the symbol (g u^(k-q+1))^[k] and come from one batch of
+    :func:`opshift.moi._chain_cores` over the chains G_{i_0,i_1}, ...,
+    G_{i_{k-1},i_k}; an order-0 core is the diagonal of g u^(1-q) at the
+    eigenvalues.
     """
     m = len(Vs)
     if len(Hs) != m + 1 or len(eps) != m + 1:
         raise ValidationError("need m+1 operators and a length-m+1 signature")
     dim = Hs[0].dim
     args = [np.asarray(v.entries if isinstance(v, HermitianOperator) else v, dtype=complex) for v in Vs]
+    # checks the poles of g and the budget: every term's tuples are a subset of these
     lhs = moi_eval(MoiSymbol(g, 0, m), OperatorTuple(tuple(Hs), tuple(args)))
+    decs = [h.decomposition() for h in Hs]
+    # slot 0 is never touched by the expansion products; a placeholder keeps
+    # the checked list aligned with the argument indexing 1..m
+    factors = _eigenbasis_factors(decs, build_check_operators(eps, Hs, [np.zeros((dim, dim))] + args)[1:])
+    G = {}  # G[a, b] = E_{a+1} ... E_b for a < b, built in lexicographic order
+    for a, b in itertools.combinations(range(m + 1), 2):
+        G[a, b] = G[a, b - 1] @ factors[b - 1] if b > a + 1 else factors[a]
+    x0, xm = decs[0].eigenvectors, decs[m].eigenvectors.conj().T
+    # (X_0 G_{0,i}, G_{i,m} X_m^*) per index i; G_{i,i} = I is skipped
+    outer = [(x0 @ G[0, i] if i else x0, G[i, m] @ xm if i < m else xm) for i in range(m + 1)]
     rhs = np.zeros((dim, dim), dtype=complex)
     terms = []
-    weighted = {}
-    for sign, k, power, combo, left, inner, right in _dressed_terms(eps, Hs, args):
-        gp = weighted.setdefault(power, weight_multiply(g, power))
-        core = moi_eval(MoiSymbol(gp, 0, k), OperatorTuple(tuple(Hs[i] for i in combo), tuple(inner)))
-        value = left @ core @ right
-        rhs = rhs + sign * value
-        inner_desc = tuple(_product_descriptor(a, b) for a, b in zip(combo[:-1], combo[1:]))
-        left_desc, right_desc = _product_descriptor(0, combo[0]), _product_descriptor(combo[-1], m)
-        terms.append(ExpansionTerm(sign, k, combo, power, value, left_desc, inner_desc, right_desc))
+    for k, group in itertools.groupby(_expansion_terms(eps), key=lambda t: t[1]):
+        group = list(group)
+        gk = weight_multiply(g, group[0][2])
+        if k:
+            cores = _chain_cores(gk, decs, [(combo, [G[ab] for ab in zip(combo, combo[1:])]) for *_, combo in group])
+        else:
+            cores = [np.diag(np.asarray(gk.eval_deriv(0, decs[i].eigenvalues), dtype=complex)[decs[i].labels]) for *_, (i,) in group]
+        for (sign, _, power, combo), core in zip(group, cores):
+            value = outer[combo[0]][0] @ core @ outer[combo[-1]][1]
+            rhs = rhs + sign * value
+            inner_desc = tuple(_product_descriptor(a, b) for a, b in zip(combo[:-1], combo[1:]))
+            left_desc, right_desc = _product_descriptor(0, combo[0]), _product_descriptor(combo[-1], m)
+            terms.append(ExpansionTerm(sign, k, combo, power, value, left_desc, inner_desc, right_desc))
     # spectral norms of lhs - rhs, lhs and every term from one stacked call;
     # the term norms are added in order (sum() compensates from Python 3.12)
     residual, lhs_norm, *norms = np.linalg.svd(np.stack([lhs - rhs, lhs] + [t.value for t in terms]), compute_uv=False).max(axis=-1).tolist()
@@ -444,7 +467,7 @@ def kernel_sum_density(U0, Us, Hs):
 
 def _tuple_weights(U0, Us, Hs):
     """Tr(U_0 P_{j0} U_1 ... U_m P_{jm}) summed by sorted node multiset: each
-    open chain of :func:`opshift.moi._eigenbasis_chain` closed by Z[i_m,i_0],
+    open chain of :func:`opshift.moi._chain_chunks` closed by Z[i_m,i_0],
     Z = X_m^* U_0 X_0, with i_m and i_0 summed into their clusters.  On the
     remainder pattern (H_m is H_0, U_0 = I) Z is exactly I, so only the
     cycles j_m = j_0 carry weight.  Returns (nodes, weights): the distinct
@@ -455,12 +478,13 @@ def _tuple_weights(U0, Us, Hs):
         raise ValidationError("need m+1 operators")
     mats = [np.asarray(u.entries if isinstance(u, HermitianOperator) else u, dtype=complex) for u in Us]
     u0 = np.asarray(U0.entries if isinstance(U0, HermitianOperator) else U0, dtype=complex)
-    decs, starts, values, codes, chunks = _eigenbasis_chain(Hs, mats)
+    decs = check_tuple_budget(Hs)
+    starts, values, codes = _cluster_codes(decs)
     dim = len(u0)
     remainder = Hs[-1] is Hs[0] and np.array_equal(u0, np.eye(dim))
     closing = np.eye(dim, dtype=complex) if remainder else decs[-1].eigenvectors.conj().T @ u0 @ decs[0].eigenvectors
     groups = []
-    for lo, hi, chain in chunks:
+    for lo, hi, chain in _chain_chunks(_eigenbasis_factors(decs, mats), starts, dim, 1):
         if m:
             close = closing.T[lo:hi].reshape((hi - lo,) + (1,) * (m - 1) + (dim,))
             block = _cluster_sum(chain * close, starts[m], -1)

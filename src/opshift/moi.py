@@ -6,8 +6,9 @@ sum over eigenvalue-cluster tuples,
     T_phi(V_1, ..., V_p) = sum phi(lam_{j0}, ..., lam_{jp})
                                P_{j0} V_1 P_{j1} ... V_p P_{jp},
 
-which one eigenbasis chain evaluates for :func:`moi_eval` and for the
-density weights of :mod:`opshift.cov`.  On top sit higher-order operator
+which eigenbasis chains evaluate: for :func:`moi_eval` a batch of one
+chain, for the expansions of :mod:`opshift.cov` a batch per symbol, and,
+closed into cycles, for its density weights.  On top sit higher-order operator
 derivatives, Taylor remainders in direct and integral forms, and the
 one-slot perturbation identity.
 """
@@ -106,29 +107,35 @@ def check_tuple_budget(operators):
 _CYCLE_CHUNK = 2**18
 
 
-def _eigenbasis_chain(operators, arguments, per_entry=1):
-    """The eigen-tuple sum in the eigenbases X_k of the H_k, where the tuple
-    (i_0..i_p) of columns carries X_0[:, i_0] F_1[i_0,i_1] ... F_p[i_{p-1},i_p]
-    X_p[:, i_p]^*, F_k = X_{k-1}^* A_k X_k.  Checks the budget first.
-    Returns (decs, starts, values, codes, chunks): the decompositions, each
-    H_k's first column per cluster, the sorted distinct eigenvalues, each
-    H_k's cluster nodes as indices into them, and (lo, hi, _chain_block)
-    per chunk of whole H_0 clusters, whose widest array holds
-    ``_CYCLE_CHUNK // per_entry`` elements or one cluster."""
-    decs = check_tuple_budget(operators)
-    p, xs = len(arguments), [d.eigenvectors for d in decs]
-    factors = [xs[k].conj().T @ arguments[k] @ xs[k + 1] for k in range(p)]
-    starts = [np.flatnonzero(np.diff(d.labels, prepend=-1)) for d in decs]
-    values, codes = np.unique(np.concatenate([d.eigenvalues for d in decs]), return_inverse=True)
-    codes = np.split(codes.astype(np.int32), np.cumsum([len(d.eigenvalues) for d in decs])[:-1])
+def _eigenbasis_factors(decs, arguments):
+    """F_k = X_{k-1}^* A_k X_k in the eigenbases X_k of the decompositions."""
+    xs = [d.eigenvectors for d in decs]
+    return [xs[k].conj().T @ arguments[k] @ xs[k + 1] for k in range(len(arguments))]
+
+
+def _cluster_codes(decs):
+    """(starts, values, codes): each H_k's first column per cluster, the
+    sorted distinct eigenvalues of all the decompositions, and each H_k's
+    cluster nodes as indices into them."""
+    starts = [np.searchsorted(d.labels, np.arange(len(d.eigenvalues))) for d in decs]  # labels run 0, 0, 1, ...
+    values = np.sort(np.concatenate([d.eigenvalues for d in decs]))
+    # distinct values by hand: np.unique without return_inverse imports numpy.ma (about 1 MB)
+    values = values[np.append(True, values[1:] != values[:-1])]
+    return starts, values, [np.searchsorted(values, d.eigenvalues).astype(np.int32) for d in decs]
+
+
+def _chain_chunks(factors, starts, dim, per_entry):
+    """(lo, hi, _chain_block) per chunk of whole clusters of H_0 (the block
+    is None for p = 0), whose widest array holds ``_CYCLE_CHUNK //
+    per_entry`` elements or one cluster; ``starts`` holds the cluster starts
+    of H_0..H_p."""
+    p, counts = len(factors), [len(s) for s in starts]
     # widest intermediate of _chain_block and of its callers per column of H_0
-    counts, dim = [len(s) for s in starts], len(xs[0])
     widest = max([math.prod(counts[1:k]) * dim * dim for k in range(1, p)] + [math.prod(counts[1:p]) * dim])
     edges = np.append(starts[0], dim)
     step = max(1, _CYCLE_CHUNK // (per_entry * widest * int(np.max(np.diff(edges)))))
     bounds = [(edges[j], edges[min(j + step, counts[0])]) for j in range(0, counts[0], step)]
-    chunks = ((lo, hi, _chain_block(factors, starts, lo, hi) if p else None) for lo, hi in bounds)
-    return decs, starts, values, codes, chunks
+    return ((lo, hi, _chain_block(factors, starts, lo, hi) if p else None) for lo, hi in bounds)
 
 
 def _chain_block(factors, starts, lo, hi):
@@ -159,13 +166,59 @@ def _group_rows(rows):
     return rows[first], group
 
 
+def _chain_cores(f, decs, chains):
+    """core[i_0, i_p] per chain of a batch under one symbol f^[p], p >= 1:
+    chain (slots, factors) runs over H_{slots[0]}..H_{slots[p]}, and
+    X_{slots[0]} core X_{slots[p]}^* is its operator integral.  The chunks of
+    all chains are contracted in groups, each closed by the chunk that brings
+    it to ``_CYCLE_CHUNK // (16 (p+1))`` entries, with values cached across
+    the batch.  Callers check the budget first."""
+    p = len(chains[0][1])
+    # chunks 16(p+1) times smaller: each entry carries p+1 node codes through sorted copies
+    per_entry, dim = 16 * (p + 1), decs[0].dim
+    starts, values, codes = _cluster_codes(decs)
+    cores = [np.zeros((dim, dim), dtype=complex) for _ in chains]
+    cache, group, size = {}, [], 0
+    for core, (slots, factors) in zip(cores, chains):
+        head, tail = (codes[s][decs[s].labels] for s in (slots[0], slots[p]))  # node code per column
+        for lo, hi, chain in _chain_chunks(factors, [starts[s] for s in slots], dim, per_entry):
+            hit = np.flatnonzero(chain)
+            columns = [head[lo:hi], *(codes[s] for s in slots[1:p]), tail]
+            rows = np.stack([c[i] for c, i in zip(columns, np.unravel_index(hit, chain.shape))], axis=1)
+            group.append((core[lo:hi], chain, hit, rows))
+            size += chain.size
+            # a group is contracted once it reaches the bound, before the next chunk is built
+            if size >= _CYCLE_CHUNK // per_entry:
+                _contract_group(f, values, cache, group)
+                group, size = [], 0
+    if group:
+        _contract_group(f, values, cache, group)
+    return cores
+
+
+def _contract_group(f, values, cache, group):
+    """Each (core rows, chain, nonzero entries, node-code rows) of a group:
+    the chain weighted by f^[p] at each entry's nodes, summed over its inner
+    axes, from one :func:`divided_difference` call over the group's rows not
+    yet in ``cache`` (a row's value does not depend on the rest of its call)."""
+    keys, which = _group_rows(np.concatenate([rows for *_, rows in group]))
+    rows = list(map(tuple, keys.tolist()))
+    fresh = [i for i, row in enumerate(rows) if row not in cache]
+    if fresh:
+        cache.update(zip([rows[i] for i in fresh], divided_difference(f, values[keys[fresh]])))
+    vals, at = np.array([cache[row] for row in rows])[which], 0
+    for out, chain, hit, _ in group:
+        terms = np.zeros(chain.shape, dtype=complex)
+        terms.flat[hit] = vals[at : at + len(hit)] * chain.flat[hit]
+        out[...] = terms.sum(axis=tuple(range(1, chain.ndim - 1)))
+        at += len(hit)
+
+
 def moi_eval(symbol: MoiSymbol, optuple: OperatorTuple) -> np.ndarray:
-    """Exact spectral-sum evaluation of the operator integral: per chunk of
-    :func:`_eigenbasis_chain`, one :func:`divided_difference` call evaluates
-    the symbol at every distinct sorted node row of the nonzero chain
-    entries that no earlier chunk reached (values are cached across
-    chunks), and the weighted chain is summed over its inner axes into
-    core[i_0, i_p]; returns X_0 core X_p^*, every reduction in a fixed order."""
+    """Exact spectral-sum evaluation of the operator integral: the batch of
+    one chain of :func:`_chain_cores` over the eigenbasis factors of the
+    arguments gives core[i_0, i_p]; returns X_0 core X_p^*, every reduction
+    in a fixed order."""
     p = optuple.order
     if symbol.order != p:
         raise ValidationError("symbol order must match the argument count")
@@ -173,21 +226,8 @@ def moi_eval(symbol: MoiSymbol, optuple: OperatorTuple) -> np.ndarray:
     _check_poles_off(f, np.concatenate([h.decomposition().eigenvalues for h in optuple.operators]), "operator spectra")
     if p == 0:
         return func_calculus(f, optuple.operators[0])
-    # chunks 16(p+1) times smaller: each entry carries p+1 node codes through sorted copies
-    decs, _, values, codes, chunks = _eigenbasis_chain(optuple.operators, optuple.arguments, 16 * (p + 1))
-    head, tail = codes[0][decs[0].labels], codes[p][decs[p].labels]  # node code per column
-    cache, core = {}, np.zeros((optuple.dim, optuple.dim), dtype=complex)
-    for lo, hi, chain in chunks:
-        hit = np.flatnonzero(chain)
-        columns = [head[lo:hi], *codes[1:p], tail]
-        keys, group = _group_rows(np.stack([c[i] for c, i in zip(columns, np.unravel_index(hit, chain.shape))], axis=1))
-        rows = list(map(tuple, keys.tolist()))
-        fresh = [i for i, row in enumerate(rows) if row not in cache]
-        if fresh:
-            cache.update(zip([rows[i] for i in fresh], divided_difference(f, values[keys[fresh]])))
-        terms = np.zeros(chain.shape, dtype=complex)
-        terms.flat[hit] = np.array([cache[row] for row in rows])[group] * chain.flat[hit]
-        core[lo:hi] = terms.sum(axis=tuple(range(1, p)))
+    decs = check_tuple_budget(optuple.operators)
+    (core,) = _chain_cores(f, decs, [(range(p + 1), _eigenbasis_factors(decs, optuple.arguments))])
     return decs[0].eigenvectors @ core @ decs[p].eigenvectors.conj().T
 
 

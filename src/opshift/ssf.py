@@ -133,6 +133,7 @@ class TraceFormulaReport:
     residuals: tuple
     traces: tuple
     rejected: tuple  # (index, reason) pairs
+    max_monomial_trace: float  # max |Tr R_m(x^k)| over k < m, zero by exactness
 
 
 def _orders_for(n, parity):
@@ -149,7 +150,9 @@ def verify_trace_formula(H, V, n, parity, family) -> TraceFormulaReport:
     """Compare Tr R_m(f) against the integral of f^(m) eta_m over a family.
 
     Family members failing the weighted-class gate are rejected with the
-    membership reason and excluded from the residual maximum.
+    membership reason and excluded from the residual maximum.  The same
+    :func:`opshift.cov.remainder_traces` call also takes the monomials x^k,
+    k < m, whose remainder traces vanish.
     """
     m, k_class = _orders_for(n, parity)
     admissible = []
@@ -164,12 +167,16 @@ def verify_trace_formula(H, V, n, parity, family) -> TraceFormulaReport:
     residuals = []
     traces = []
     fs = [f for _, f in admissible]
-    for f, lhs in zip(fs, remainder_traces(fs, H, [V], m)[0].tolist()):
+    monos = [PolynomialFunction(tuple([0.0] * k + [1.0])) for k in range(m)]
+    # each column of remainder_traces is computed independently of the others
+    row = remainder_traces(fs + monos, H, [V], m)[0]
+    for f, lhs in zip(fs, row[: len(fs)].tolist()):
         rhs = eta.integrate_against(f)
         residuals.append(abs(lhs - rhs) / (1.0 + abs(lhs)))
         traces.append(lhs)
     max_res = max(residuals) if residuals else 0.0
-    return TraceFormulaReport(m, k_class, float(max_res), tuple(residuals), tuple(traces), tuple(rejected))
+    vanish = float(np.max(np.abs(row[len(fs) :])))
+    return TraceFormulaReport(m, k_class, float(max_res), tuple(residuals), tuple(traces), tuple(rejected), vanish)
 
 
 # ---------------------------------------------------------------------------

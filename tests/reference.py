@@ -7,14 +7,17 @@ something the package computes another way.
   eigenbasis chain of ``moi_eval`` and of the density weights;
 - :func:`moi_eval_separated_rational`, the pole sum of resolvent
   products for simple-pole rational symbols;
+- :func:`cov_expand_per_term`, the change-of-variables expansion with
+  one ``moi_eval`` per term on its checked products;
 - :func:`_ssf_counting`, eta_1 as a difference of eigenvalue counting
   functions.
 """
 
 import numpy as np
 
+from opshift.cov import _dressed_terms
 from opshift.errors import ValidationError
-from opshift.moi import check_tuple_budget
+from opshift.moi import MoiSymbol, OperatorTuple, check_tuple_budget, moi_eval
 from opshift.piecewise import PiecewisePolynomial
 from opshift.ssf import SpectralShiftDensity
 
@@ -84,6 +87,21 @@ def moi_eval_separated_rational(symbol, optuple):
             piece = piece @ optuple.arguments[k] @ np.linalg.inv(optuple.operators[k + 1].entries - zi * eye)
         out = out + ci * (-1.0) ** p * piece
     return out
+
+
+def cov_expand_per_term(g, eps, Hs, Vs):
+    """(lhs, term values, rhs) of ``cov.cov_expand``, each term evaluated on
+    its own: left @ T_{(g u^w)^[k]}(inner) @ right, with the checked products
+    of ``cov._dressed_terms`` and one ``moi_eval`` per term on the operators
+    of its index tuple."""
+    args = [np.asarray(v, dtype=complex) for v in Vs]
+    lhs = moi_eval(MoiSymbol(g, 0, len(args)), OperatorTuple(tuple(Hs), tuple(args)))
+    values, rhs = [], np.zeros_like(lhs)
+    for sign, k, power, combo, left, inner, right in _dressed_terms(eps, Hs, args):
+        core = moi_eval(MoiSymbol(g, power, k), OperatorTuple(tuple(Hs[i] for i in combo), tuple(inner)))
+        values.append(left @ core @ right)
+        rhs = rhs + sign * values[-1]
+    return lhs, values, rhs
 
 
 def _ssf_counting(H, V):

@@ -63,6 +63,11 @@ class TestConfig:
             ({"ssf": {"h": None}}, "ssf.h must be an object"),
             ({"family": {"spread": "wide"}}, "family.spread must be a finite number"),
             ({"approx": {"bumsp": 3}}, "unknown config key approx.bumsp"),
+            ({"n": 2.0}, "n must be the integer 2 or 3"),
+            ({"n": True}, "n must be the integer 2 or 3"),
+            ({"dims": [2.5]}, "dims must be integers in 1..16"),
+            ({"dims": [True]}, "dims must be integers in 1..16"),
+            ({"dims": ["2"]}, "dims must be integers in 1..16"),
         ],
     )
     def test_invalid_nested_value_exit_2(self, tmp_path, capsys, config, message):

@@ -22,11 +22,11 @@ from opshift.cov import (
     trace_via_measure,
 )
 from opshift.ensembles import random_hermitian, rng_stream
-from opshift.errors import ValidationError
+from opshift.errors import BudgetError, ValidationError
 from opshift.functions import GaussianFunction, PolynomialFunction, rational_from_poles, weight_multiply
 from opshift.linalg import HermitianOperator, schatten_norm
 from opshift.moi import MoiSymbol, OperatorTuple, moi_eval
-from reference import eigen_tuples
+from reference import cov_expand_per_term, eigen_tuples
 
 
 def random_signature(rng, m):
@@ -634,3 +634,102 @@ class TestCycleWeights:
         chunked, _ = eigen_tuple_density(U0, Us, Hs)
         assert blocks == [(0, 1), (1, 4), (4, 5)]  # one chunk per cluster of H_0
         assert _fold_error(chunked, whole) <= 1e-14
+
+
+def _assert_matches_per_term(exp, g, eps, Hs, Vs):
+    """Every term value, lhs and rhs of the one-pass expansion within
+    1e-13 * scale of one moi_eval per term."""
+    lhs, values, rhs = cov_expand_per_term(g, eps, Hs, Vs)
+    assert len(values) == len(exp.terms)
+    errors = [np.max(np.abs(t.value - v)) for t, v in zip(exp.terms, values)]
+    errors += [np.max(np.abs(exp.lhs - lhs)), np.max(np.abs(exp.rhs - rhs))]
+    assert max(errors) <= 1e-13 * exp.scale
+
+
+def _block_case(d, m):
+    """Diagonal H_k, H_0 with a repeated eigenvalue, and arguments that are
+    block diagonal on the halves of C^d with V_1 zero on the first half, so
+    whole rows of the eigenbasis chains are exactly zero."""
+    rng = rng_stream(77, 0)
+    k = d // 2
+    Hs = [HermitianOperator(np.diag(np.sort(rng.uniform(-1.0, 1.0, d)))) for _ in range(m + 1)]
+    Hs[0] = HermitianOperator(np.diag(np.linspace(-1.0, 1.0, d).round()))
+    Vs = []
+    for j in range(m):
+        v = np.zeros((d, d), dtype=complex)
+        v[k:, k:] = random_hermitian(rng, d - k, 0.8).entries
+        if j:
+            v[:k, :k] = random_hermitian(rng, k, 0.8).entries
+        Vs.append(v)
+    return Hs, Vs
+
+
+class TestOnePassExpansion:
+    """cov_expand's batched chains against one moi_eval per term."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_random_signatures_match_per_term(self, m, dim):
+        rng = rng_stream(800 + 10 * m + dim, 0)
+        g = rational_from_poles([2j, -1 - 1.5j, 1 + 2j])
+        for _ in range(2):
+            eps = random_signature(rng, m)
+            Hs, Vs = ops_and_args(int(rng.integers(1 << 30)), dim, m)
+            _assert_matches_per_term(cov_expand(g, eps, Hs, Vs), g, eps, Hs, Vs)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "polynomial"])
+    def test_other_symbols_match_per_term(self, kind):
+        g = GaussianFunction(0.3, 0.9) if kind == "gaussian" else PolynomialFunction((0.5, -1.0, 0.0, 2.0, 1.0))
+        rng = rng_stream(830, 0)
+        for m in (1, 2, 3):
+            eps = random_signature(rng, m)
+            Hs, Vs = ops_and_args(int(rng.integers(1 << 30)), 3, m)
+            _assert_matches_per_term(cov_expand(g, eps, Hs, Vs), g, eps, Hs, Vs)
+
+    @pytest.mark.parametrize("chunk", [moi._CYCLE_CHUNK, 1])
+    def test_repeated_eigenvalue_and_zero_blocks(self, monkeypatch, chunk):
+        monkeypatch.setattr(moi, "_CYCLE_CHUNK", chunk)  # at 1, some chunks hold only zeros
+        Hs, Vs = _block_case(4, 3)
+        assert len(Hs[0].decomposition().eigenvalues) == 3  # -1, 0, 0, 1
+        blocks = []
+        chain_block = moi._chain_block
+        monkeypatch.setattr(moi, "_chain_block", lambda *a: blocks.append(chain_block(*a)) or blocks[-1])
+        g = rational_from_poles([2j, -1 - 1.5j, 1 + 2j])
+        for word in (("R", "L", "R", "L"), ("R", "0", "L", "0"), ("0", "R", "L", "L")):
+            eps = EpsilonSignature(word)
+            _assert_matches_per_term(cov_expand(g, eps, Hs, Vs), g, eps, Hs, Vs)
+        assert any(not np.any(b[i]) for b in blocks for i in range(len(b)))  # exactly zero rows
+        assert chunk > 1 or any(not np.any(b) for b in blocks)
+
+    def test_several_chunks_match_one_pass(self, monkeypatch):
+        Hs, Vs = ops_and_args(840, 4, 4)
+        Hs[0] = _degenerate_case(840, 4, 1)[2][0]  # eigenvalues -1, 0, 0, 1
+        g = rational_from_poles([2j, -1 - 1.5j, 1 + 2j])
+        eps = alternating_signature(4)
+        calls = []
+        dd = moi.divided_difference
+        monkeypatch.setattr(moi, "divided_difference", lambda f, rows: calls.append(len(rows)) or dd(f, rows))
+        whole = cov_expand(g, eps, Hs, Vs)
+        orders = {t.k for t in whole.terms if t.k}
+        assert len(calls) == 1 + len(orders)  # the left side, then one call per order
+        blocks = []
+        chain_block = moi._chain_block
+        monkeypatch.setattr(moi, "_chain_block", lambda *a: blocks.append(a[2:]) or chain_block(*a))
+        monkeypatch.setattr(moi, "_CYCLE_CHUNK", 1)
+        del calls[:]
+        chunked = cov_expand(g, eps, Hs, Vs)
+        assert (0, 1) in blocks and (1, 3) in blocks  # one chunk per cluster of an H_0
+        assert len(calls) > 1 + len(orders)  # each chunk contracted on its own
+        errors = [np.max(np.abs(a.value - b.value)) for a, b in zip(whole.terms, chunked.terms)]
+        assert max(errors + [np.max(np.abs(whole.rhs - chunked.rhs))]) <= 1e-14 * whole.scale
+        _assert_matches_per_term(chunked, g, eps, Hs, Vs)
+
+    def test_over_budget_expansion_builds_no_chain(self, monkeypatch):
+        def guarded(*args):
+            pytest.fail("an over-budget expansion built a chain block")
+
+        Hs, Vs = ops_and_args(850, 3, 3)  # 3^4 = 81 cluster tuples
+        monkeypatch.setattr(moi, "_chain_block", guarded)
+        monkeypatch.setattr(moi, "TUPLE_BUDGET", 80)
+        with pytest.raises(BudgetError):
+            cov_expand(rational_from_poles([2j, -1 - 1j]), alternating_signature(3), Hs, Vs)
