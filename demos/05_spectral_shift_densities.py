@@ -9,9 +9,9 @@ polynomial of degree < m.
 import numpy as np
 
 from opshift import (
-    DiscreteMeasure,
     GaussianFunction,
     HermitianOperator,
+    PiecewisePolynomial,
     measure_weight_shift,
     reconstruct_density,
     ssf_compute,
@@ -56,7 +56,7 @@ print("bound factor:", scaling.rhs_factor, " fitted slope:", scaling.slope)
 
 # --- antiderivatives shift weights between measures --------------------------------
 
-mu = DiscreteMeasure(np.array([2.0, -1.0]), np.array([3.0, -1.0]))
+mu = PiecewisePolynomial.atom(np.array([2.0, -1.0]), np.array([3.0, -1.0]))
 g = GaussianFunction(0.1, 1.0)
 shift = measure_weight_shift(mu, n=0, m=1, k=2, epsilon=0.5, test_family=[g])
 print("\nweight-shift residual:", shift.residuals[0])

@@ -32,7 +32,7 @@ from .functions import (
     rational_from_poles,
     weight_multiply,
 )
-from .piecewise import DiscreteMeasure, PiecewisePolynomial, integral_against_derivative, weighted_abs_integral
+from .piecewise import PiecewisePolynomial, integral_against_derivative, weighted_abs_integral
 from .moi import (
     MoiSymbol,
     OperatorTuple,

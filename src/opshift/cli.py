@@ -65,6 +65,9 @@ class ExperimentConfig:
         for name in ("family", "tolerances", "ssf", "approx"):
             if not isinstance(getattr(self, name), dict):
                 raise ValidationError(f"{name} must be an object")
+        # rng_stream packs the stream index above bit 32 of the Philox key
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed < 2**32:
+            raise ValidationError("seed must be an integer in [0, 2^32)")
         if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n not in (2, 3):
             raise ValidationError("n must be the integer 2 or 3")
         for name, items in (("dims", self.dims), ("ssf.orders", self.ssf["orders"])):
@@ -90,7 +93,12 @@ class ExperimentConfig:
         for name, value, low in counts:
             if isinstance(value, bool) or not isinstance(value, int) or value < low:
                 raise ValidationError(f"{name} must be an integer >= {low}")
-        floats = [("family.spread", self.family["spread"]), ("approx.h_norm", self.approx["h_norm"]), ("approx.v_norm", self.approx["v_norm"])]
+        floats = [
+            ("family.spread", self.family["spread"]),
+            ("approx.h_norm", self.approx["h_norm"]),
+            ("approx.v_norm", self.approx["v_norm"]),
+            ("tolerances.slope_margin", self.tolerances["slope_margin"]),
+        ]
         for name, value in floats:
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
                 raise ValidationError(f"{name} must be a finite number")

@@ -413,17 +413,38 @@ class WeightedTraceMeasure:
     """
 
     density: PiecewisePolynomial
-    weight_exponent: int
+    weight_exponent: float
 
     def norm(self):
         """Total variation: the integral of |u|^(-w) |density| =
         (1+x^2)^(-w/2) |density(x)| plus the atoms, by the split
         Gauss-Legendre rule of :mod:`opshift.piecewise` on segments split
         at the real roots of the real and imaginary parts, where the
-        modulus kinks."""
+        modulus kinks.
+
+        A polynomial tail of degree d decays like C |x|^(d - w) under the
+        weight.  It is cut into geometric pieces [a, 2a] out to the X where
+        the remainder C X^(d+1-w)/(w-d-1) falls below 1e-16 of the finite
+        part, and the rule runs on the refined grid.
+        """
         w = self.weight_exponent
-        total = _weighted_modulus(self.density, w)
-        for x, mass in self.density.atoms:
+        density = self.density
+        total = _weighted_modulus(density, w)
+        bp = density.breakpoints
+        points = []
+        for tail, edge, side in ((density.left_tail, bp[0], -1.0), (density.right_tail, bp[-1], 1.0)):
+            c = np.trim_zeros(np.asarray(tail if tail is not None else [0.0]), "b")
+            if not len(c):
+                continue
+            decay = w - len(c)  # remainder exponent w - d - 1
+            if decay <= 0:
+                raise ValidationError(f"a tail of degree {len(c) - 1} has no finite norm under the weight u^-{w}")
+            far = (abs(c[-1]) / (decay * 1e-16 * (total or abs(c[-1])))) ** (1.0 / decay)
+            doublings = math.ceil(math.log2(min(far, 1e100) / (1.0 + abs(edge)) + 1.0))
+            points.append(edge + side * (1.0 + abs(edge)) * (2.0 ** np.arange(1, doublings + 1) - 1.0))
+        if points:
+            total = _weighted_modulus(density.refined(np.concatenate(points)), w)
+        for x, mass in density.atoms:
             total += abs(complex(mass)) * (1.0 + x * x) ** (-w / 2.0)
         return total
 

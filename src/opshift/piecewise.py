@@ -2,11 +2,12 @@
 
 A :class:`PiecewisePolynomial` stores breakpoints and, per interval, one
 row of monomial coefficients centered at the interval midpoint, all rows
-in one (intervals, degree+1) array.  Optional atomic parts (weighted
-point masses) and semi-infinite polynomial tails are supported;
-densities built from Peano kernels are compactly supported, while
-repeated antiderivatives of step functions need the tails.  Sums, linear
-multiplications and antiderivatives are exact.
+in one (intervals, degree+1) array.  It is the one type for measures:
+optional atoms (weighted point masses, built by
+:meth:`PiecewisePolynomial.atom`) and semi-infinite polynomial tails are
+supported.  Densities built from Peano kernels are compactly supported,
+while antiderivatives, which jump at the atoms, need the tails.  Sums,
+linear multiplications and antiderivatives are exact.
 
 Integrals of a factor g against the finite intervals (the trace side
 ``f^(m)`` against a shift density, weighted L1 norms) go through one
@@ -34,7 +35,6 @@ from .errors import ValidationError
 
 __all__ = [
     "PiecewisePolynomial",
-    "DiscreteMeasure",
     "integral_against_derivative",
     "weighted_abs_integral",
 ]
@@ -146,8 +146,18 @@ class PiecewisePolynomial:
         return PiecewisePolynomial(np.array([a, b]), (np.ones(1),))
 
     @staticmethod
-    def atom(x, mass):
-        return PiecewisePolynomial(np.array([float(x)]), (), atoms=((float(x), complex(mass)),))
+    def atom(points, masses):
+        """Point masses at ``points``; masses at coinciding points add up,
+        and no points give :meth:`zero`."""
+        xs, where = np.unique(np.atleast_1d(np.asarray(points, dtype=float)), return_inverse=True)
+        masses = np.atleast_1d(np.asarray(masses, dtype=complex))
+        if masses.shape != where.shape:
+            raise ValidationError("need one mass per point")
+        if not len(xs):
+            return PiecewisePolynomial.zero()
+        total = np.zeros(len(xs), dtype=complex)
+        np.add.at(total, where, masses)
+        return PiecewisePolynomial(xs, np.zeros((len(xs) - 1, 1)), tuple(zip(xs.tolist(), total.tolist())))
 
     @staticmethod
     def step(breakpoints, values, left_value=0.0, right_value=None):
@@ -304,25 +314,31 @@ class PiecewisePolynomial:
     # -- calculus -----------------------------------------------------
 
     def antiderivative(self, base=0.0):
-        """Continuous antiderivative F with F(base) = 0 (density part only).
+        """Antiderivative F with F(base) = 0: F(x) is the measure of
+        (base, x], signed for x < base.
 
-        Atoms are not allowed here; cumulative functions of discrete
-        measures are built by :meth:`DiscreteMeasure.cumulative`.
+        F is continuous on the density part and jumps by each atom's mass
+        at its point, right-continuously; the grid is refined at the atoms
+        first, so every jump lands on a breakpoint.
         """
-        if self.atoms:
-            raise ValidationError("antiderivative of an atomic part is a step; use DiscreteMeasure")
-        bp = self.breakpoints
-        width = self.coeffs.shape[1]
-        prim = np.zeros((len(self.coeffs), width + 1), dtype=complex)
-        prim[:, 1:] = self.coeffs / np.arange(1, width + 1)
+        xs = [x for x, _ in self.atoms]
+        pp = self.refined(xs) if xs else self
+        bp = pp.breakpoints
+        width = pp.coeffs.shape[1]
+        prim = np.zeros((len(pp.coeffs), width + 1), dtype=complex)
+        prim[:, 1:] = pp.coeffs / np.arange(1, width + 1)
         h = 0.5 * np.diff(bp)
         lo = _horner(prim, -h)
         # continuity constants accumulated from the leftmost finite breakpoint
         running = np.concatenate([[0.0], np.cumsum(_horner(prim, h) - lo)])
+        if xs:  # plus each atom's mass from its breakpoint on: F is right-continuous
+            jumps = np.zeros(len(bp), dtype=complex)
+            np.add.at(jumps, np.searchsorted(bp, xs), [w for _, w in self.atoms])
+            running = running + np.cumsum(jumps)
         prim[:, 0] += running[:-1] - lo
         # where a tail is missing the density vanishes, so F is constant there
-        lt = _trim(_polyint(np.zeros(1) if self.left_tail is None else self.left_tail))
-        rt = _trim(_polyint(np.zeros(1) if self.right_tail is None else self.right_tail))
+        lt = _trim(_polyint(np.zeros(1) if pp.left_tail is None else pp.left_tail))
+        rt = _trim(_polyint(np.zeros(1) if pp.right_tail is None else pp.right_tail))
         rt[0] += running[-1]
         shift = -complex(PiecewisePolynomial(bp, prim, (), lt, rt)(base))
         prim[:, 0] += shift
@@ -379,56 +395,6 @@ class PiecewisePolynomial:
         """(x, value) rows on a grid, for CSV export."""
         vals = self(np.asarray(grid, dtype=float))
         return [(float(x), float(np.real(v))) for x, v in zip(grid, np.atleast_1d(vals))]
-
-
-@dataclass(frozen=True)
-class DiscreteMeasure:
-    """Finitely many weighted point masses."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        wts = np.asarray(self.weights, dtype=complex)
-        if pts.shape != wts.shape or pts.ndim != 1:
-            raise ValidationError("points and weights must be 1-d and of equal length")
-        order = np.argsort(pts, kind="stable")
-        object.__setattr__(self, "points", pts[order])
-        object.__setattr__(self, "weights", wts[order])
-
-    def total_variation(self):
-        return float(np.sum(np.abs(self.weights)))
-
-    def integrate(self, func):
-        if len(self.points) == 0:
-            return 0.0 + 0.0j
-        return complex(np.sum(self.weights * np.asarray(func(self.points), dtype=complex)))
-
-    def cumulative(self, value_at_point=None):
-        """Step function x -> integral over (0, x] (signed for x < 0).
-
-        ``value_at_point`` maps mass locations to the integrand value
-        (defaults to 1), so cumulative(u**m) realizes x -> int_0^x u^m dmu.
-        """
-        if len(self.points) == 0:
-            return PiecewisePolynomial.step(np.array([0.0, 1.0]), [0.0], 0.0, 0.0)
-        vals = np.ones(len(self.points), dtype=complex)
-        if value_at_point is not None:
-            vals = np.asarray(value_at_point(self.points), dtype=complex)
-        masses = self.weights * vals
-        xs, inv = np.unique(self.points, return_inverse=True)
-        jumps = np.zeros(len(xs), dtype=complex)
-        np.add.at(jumps, inv, masses)
-        cum = np.cumsum(jumps)
-        g0 = complex(cum[np.searchsorted(xs, 0.0, side="right") - 1]) if xs[0] <= 0.0 else 0.0
-        if len(xs) == 1:
-            bp = np.array([xs[0], xs[0] + 1.0])
-            return PiecewisePolynomial.step(bp, [cum[0] - g0], -g0, cum[0] - g0)
-        values = [complex(cum[i]) - g0 for i in range(len(xs) - 1)]
-        return PiecewisePolynomial.step(xs, values, -g0, complex(cum[-1]) - g0)
-
-
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ of eigen-tuple weights times divided differences, and each divided
 difference is the integral of f^(m) against a B-spline kernel.  The
 module also provides a reconstruction used for uniqueness tests,
 weighted-norm scaling reports, per-term trace measures, and the
-antiderivative-based measure weight shift.
+measure weight shift: u^m mu for a measure mu (atoms are
+``PiecewisePolynomial`` atoms) through k antiderivatives, normed by
+:meth:`opshift.cov.WeightedTraceMeasure.norm`.
 """
 
 from __future__ import annotations
@@ -30,17 +32,10 @@ from .functions import PolynomialFunction, TestFunction, bump, class_membership,
 from .linalg import HermitianOperator, schatten_norm
 # moi_eval stays importable here: bench/tracing.py patches it at this import site
 from .moi import moi_eval  # noqa: F401
-from .piecewise import (
-    DiscreteMeasure,
-    PiecewisePolynomial,
-    integral_against_derivative,
-    weighted_abs_integral,
-    _shift_rows,
-)
+from .piecewise import PiecewisePolynomial, integral_against_derivative, weighted_abs_integral, _shift_rows
 
 __all__ = [
     "SpectralShiftDensity",
-    "DiscreteMeasure",
     "ssf_compute",
     "verify_trace_formula",
     "TraceFormulaReport",
@@ -375,7 +370,7 @@ def reconstruct_density(H, V, m) -> SpectralShiftDensity:
 
 @dataclass(frozen=True)
 class WeightShiftReport:
-    xi: PiecewisePolynomial | None  # k-fold antiderivative of the weighted cumulative
+    xi: PiecewisePolynomial  # k-fold antiderivative of u^m mu
     k: int
     base_power: int
     epsilon: float
@@ -390,47 +385,35 @@ def _u_l1_norm(epsilon):
     return float(math.sqrt(math.pi) * math.gamma(epsilon / 2.0) / math.gamma((1.0 + epsilon) / 2.0))
 
 
-def measure_weight_shift(mu: DiscreteMeasure, n: int, m: int, k: int, epsilon: float, test_family=()) -> WeightShiftReport:
-    """Shift a discrete measure into an absolutely continuous one.
+def measure_weight_shift(mu: PiecewisePolynomial, n: int, m: int, k: int, epsilon: float, test_family=()) -> WeightShiftReport:
+    """Shift the weight of a finite measure onto repeated antiderivatives.
 
-    Builds xi_1(x) = integral over (0, x] of u^m dmu, its repeated
-    antiderivatives xi_2..xi_k, and verifies, for each supplied test
+    Builds xi_0 = u^m mu and its antiderivatives xi_1..xi_k from 0 (which
+    jump at the atoms of mu), and verifies, for each supplied test
     function g,
 
         integral g^(n) u^m dmu = integral g^(n+k) u^(m+k+eps) * density,
 
     with density = (-1)^k u^(-m-k-eps) xi_k.  The weights cancel, so the
     right-hand side is the integral of (-1)^k g^(n+k) xi_k.  Also checks
-    the total-variation bound of the shifted measure against the
-    closed-form norm of u^(-1-eps).
+    the total variation of the shifted measure u^(-m-k-eps) xi_k against
+    the closed-form norm of u^(-1-eps) times the total variation of mu.
     """
     if not (0.0 < epsilon <= 1.0):
         raise ValidationError("epsilon must lie in (0, 1]")
     if n < 0 or m < 0 or k < 0:
         raise ValidationError("orders must be nonnegative")
-    lhs_vals = [mu.integrate(lambda y, g=g: g.eval_deriv(n, y) * (y - 1j) ** m) for g in test_family]
-    if k == 0:
-        # trivial shift: the measure stays discrete with weights u^(-eps)
-        norm_tilde = float(np.sum(np.abs(mu.weights) * np.abs(mu.points - 1j) ** (-epsilon)))
-        bound = _u_l1_norm(epsilon) * mu.total_variation()
-        residuals = []
-        for g, lhs in zip(test_family, lhs_vals):
-            rhs = mu.integrate(
-                lambda y, g=g: g.eval_deriv(n, y) * (y - 1j) ** (m + epsilon) * (y - 1j) ** (-epsilon)
-            )
-            residuals.append(abs(lhs - rhs))
-        return WeightShiftReport(None, 0, m, float(epsilon), tuple(residuals), norm_tilde, bound, norm_tilde <= bound + 1e-12)
-
-    xi = mu.cumulative(lambda pts: (pts - 1j) ** m)
-    for _ in range(k - 1):
+    xi = mu
+    for _ in range(m):
+        xi = xi.multiply_linear(-1j, 1)
+    lhs_vals = [integral_against_derivative(g, n, xi) for g in test_family]
+    for _ in range(k):
         xi = xi.antiderivative(0.0)
-
-    power = m + k + epsilon
     residuals = [
         abs(lhs - (-1.0) ** k * integral_against_derivative(g, n + k, xi)) for g, lhs in zip(test_family, lhs_vals)
     ]
-    norm_tilde = _shifted_norm(xi, power)
-    bound = _u_l1_norm(epsilon) * mu.total_variation()
+    norm_tilde = WeightedTraceMeasure(xi, m + k + epsilon).norm()
+    bound = _u_l1_norm(epsilon) * WeightedTraceMeasure(mu, 0).norm()
     return WeightShiftReport(
         xi,
         k,
@@ -441,30 +424,6 @@ def measure_weight_shift(mu: DiscreteMeasure, n: int, m: int, k: int, epsilon: f
         float(bound),
         bool(norm_tilde <= bound + 1e-12 * (1.0 + bound)),
     )
-
-
-def _shifted_norm(xi: PiecewisePolynomial, power):
-    """Integral of |xi| (1+x^2)^(-power/2) over the line.
-
-    The tails of xi are polynomials of degree d, so the integrand decays
-    like C |x|^(d - power) there.  Each tail is cut into geometric pieces
-    [a, 2a] out to the X where the remainder C X^(d+1-power)/(power-d-1)
-    falls below 1e-16 of the finite part, and the whole grid goes through
-    the measure norm's split Gauss-Legendre rule.
-    """
-    bp = xi.breakpoints
-    finite = WeightedTraceMeasure(PiecewisePolynomial(bp, xi.coeffs), power).norm()
-    points = [bp]
-    for tail, edge, side in ((xi.left_tail, bp[0], -1.0), (xi.right_tail, bp[-1], 1.0)):
-        c = np.trim_zeros(np.asarray(tail if tail is not None else [0.0]), "b")
-        if not len(c):
-            continue
-        decay = power - len(c)  # remainder exponent power - d - 1
-        far = (abs(c[-1]) / (decay * 1e-16 * (finite or abs(c[-1])))) ** (1.0 / decay)
-        doublings = math.ceil(math.log2(min(far, 1e100) / (1.0 + abs(edge)) + 1.0))
-        points.append(edge + side * (1.0 + abs(edge)) * (2.0 ** np.arange(1, doublings + 1) - 1.0))
-    grid = xi.refined(np.concatenate(points))
-    return WeightedTraceMeasure(PiecewisePolynomial(grid.breakpoints, grid.coeffs), power).norm()
 
 
 # ---------------------------------------------------------------------------

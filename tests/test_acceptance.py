@@ -27,7 +27,7 @@ from opshift.ensembles import (
 from opshift.functions import GaussianFunction, PolynomialFunction, rational_from_poles
 from opshift.linalg import HermitianOperator, schatten_norm
 from opshift.moi import OperatorTuple, perturbation_identity, taylor_remainder
-from opshift.piecewise import DiscreteMeasure
+from opshift.piecewise import PiecewisePolynomial
 from opshift.ssf import (
     measure_weight_shift,
     reconstruct_density,
@@ -238,7 +238,7 @@ def test_criterion_11_partial_integration():
     bounds_ok = True
     for _ in range(50):
         count = int(rng.integers(1, 6))
-        mu = DiscreteMeasure(
+        mu = PiecewisePolynomial.atom(
             rng.uniform(-3, 3, count),
             rng.standard_normal(count) + 1j * rng.standard_normal(count),
         )
@@ -247,7 +247,7 @@ def test_criterion_11_partial_integration():
         k = int(rng.integers(1, 4))
         epsv = float(rng.uniform(0.2, 1.0))
         rep = measure_weight_shift(mu, n, m, k, epsv, gs)
-        worst = max(worst, max(rep.residuals) / (1.0 + mu.total_variation()))
+        worst = max(worst, max(rep.residuals) / (1.0 + mu.atomic_mass()))
         bounds_ok = bounds_ok and rep.bound_holds
     report(11, worst <= 1e-8 and bounds_ok, f"max residual {worst:.2e}, norm bound holds {bounds_ok}")
 

@@ -1,5 +1,8 @@
+import ast
 import dataclasses
+import importlib
 import json
+import pkgutil
 import re
 import subprocess
 import sys
@@ -68,6 +71,14 @@ class TestConfig:
             ({"dims": [2.5]}, "dims must be integers in 1..16"),
             ({"dims": [True]}, "dims must be integers in 1..16"),
             ({"dims": ["2"]}, "dims must be integers in 1..16"),
+            ({"seed": -1}, "seed must be an integer in [0, 2^32)"),
+            ({"seed": 2**32}, "seed must be an integer in [0, 2^32)"),
+            ({"seed": "abc"}, "seed must be an integer in [0, 2^32)"),
+            ({"seed": 1.5}, "seed must be an integer in [0, 2^32)"),
+            ({"seed": True}, "seed must be an integer in [0, 2^32)"),
+            ({"tolerances": {"slope_margin": "x"}}, "tolerances.slope_margin must be a finite number"),
+            ({"tolerances": {"slope_margin": None}}, "tolerances.slope_margin must be a finite number"),
+            ({"tolerances": {"slope_margin": float("nan")}}, "tolerances.slope_margin must be a finite number"),
         ],
     )
     def test_invalid_nested_value_exit_2(self, tmp_path, capsys, config, message):
@@ -75,6 +86,11 @@ class TestConfig:
         p.write_text(json.dumps(config))
         assert run_cli(["all", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert f"error: invalid configuration: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
+        assert run_cli(["bounds", "--seed", "-5", "--out", str(tmp_path / "o")]) == 2
+        assert "error: invalid configuration: seed must be an integer in [0, 2^32)" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_grid_below_two_exit_2(self, tmp_path):
@@ -239,6 +255,17 @@ class TestStartup:
         code = "import sys, opshift, opshift.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_public_names_resolve(self):
+        # a name dropped from a module must leave its __all__ and the package imports too
+        import opshift
+
+        for info in pkgutil.iter_modules(opshift.__path__):
+            module = importlib.import_module(f"opshift.{info.name}")
+            assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == [], info.name
+        tree = ast.parse(Path(opshift.__file__).read_text())
+        imported = [a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names]
+        assert imported and [n for n in imported if not hasattr(opshift, n)] == []
 
     def test_runtime_dependencies_name_only_numpy(self):
         import tomllib

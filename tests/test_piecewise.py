@@ -9,12 +9,7 @@ from opshift.cov import WeightedTraceMeasure, eigen_tuple_density
 from opshift.ensembles import random_hermitian, random_pair, rng_stream
 from opshift.errors import ValidationError
 from opshift.functions import GaussianFunction, PolynomialFunction, bump
-from opshift.piecewise import (
-    DiscreteMeasure,
-    PiecewisePolynomial,
-    integral_against_derivative,
-    weighted_abs_integral,
-)
+from opshift.piecewise import PiecewisePolynomial, integral_against_derivative, weighted_abs_integral
 from opshift.ssf import remainder_pattern, ssf_compute
 
 
@@ -150,14 +145,14 @@ class TestWeightedAbsIntegral:
                 weighted_abs_integral(pp, 10)
 
 
-class TestDiscreteMeasure:
+class TestAtomicMeasure:
     def test_total_variation(self):
-        mu = DiscreteMeasure(np.array([1.0, -2.0]), np.array([3.0, -1.0 + 1.0j]))
-        assert mu.total_variation() == pytest.approx(3.0 + np.sqrt(2.0))
+        mu = PiecewisePolynomial.atom(np.array([1.0, -2.0]), np.array([3.0, -1.0 + 1.0j]))
+        assert mu.atomic_mass() == pytest.approx(3.0 + np.sqrt(2.0))
 
     def test_cumulative_is_signed_integral_from_zero(self):
-        mu = DiscreteMeasure(np.array([1.0, -1.0, 2.0]), np.array([1.0, 2.0, -0.5]))
-        xi = mu.cumulative()
+        mu = PiecewisePolynomial.atom(np.array([1.0, -1.0, 2.0]), np.array([1.0, 2.0, -0.5]))
+        xi = mu.antiderivative(0.0)
         # integral over (0, x]
         assert xi(1.5) == pytest.approx(1.0)
         assert xi(2.5) == pytest.approx(0.5)
@@ -166,9 +161,68 @@ class TestDiscreteMeasure:
         assert xi(-1.5) == pytest.approx(-2.0)
 
     def test_cumulative_weighting(self):
-        mu = DiscreteMeasure(np.array([2.0]), np.array([1.0]))
-        xi = mu.cumulative(lambda pts: (pts - 1j) ** 2)
+        mu = PiecewisePolynomial.atom(np.array([2.0]), np.array([1.0]))
+        xi = mu.multiply_linear(-1j, 1).multiply_linear(-1j, 1).antiderivative(0.0)
         assert xi(3.0) == pytest.approx((2.0 - 1j) ** 2)
+
+    def test_coinciding_points_add_and_no_points_give_zero(self):
+        mu = PiecewisePolynomial.atom([0.5, -1.0, 0.5], [2.0, 1.0j, -0.5])
+        assert mu.atoms == ((-1.0, 1.0j), (0.5, 1.5 + 0.0j))
+        assert list(mu.breakpoints) == [-1.0, 0.5]
+        empty = PiecewisePolynomial.atom([], [])
+        assert empty.atoms == () and list(empty.breakpoints) == [0.0, 1.0]
+        assert not np.any(empty.coeffs)
+        with pytest.raises(ValidationError):
+            PiecewisePolynomial.atom([0.0, 1.0], [1.0])
+
+    def test_scalar_atom(self):
+        a = PiecewisePolynomial.atom(1.3, 0.5)
+        assert a.atoms == ((1.3, 0.5 + 0.0j),)
+        assert list(a.breakpoints) == [1.3] and a.coeffs.shape == (0, 1)
+
+
+def _reference_antiderivative(pp, base, x):
+    """F(x) = measure of (base, x], signed for x < base: scipy quad on the
+    density part plus the atom masses summed by hand."""
+    lo, hi = min(base, x), max(base, x)
+    cuts = [b for b in pp.breakpoints if lo < b < hi]
+    dens = quad(lambda t: np.real(pp(t)), lo, hi, points=cuts or None, limit=200)[0] if hi > lo else 0.0
+    jumps = sum(w for a, w in pp.atoms if lo < a <= hi)
+    return (dens + jumps) * (1.0 if x >= base else -1.0)
+
+
+class TestAntiderivativeWithAtoms:
+    # the grid is [-1, 0, 0.5, 2]; atoms inside an interval (0.3), on a
+    # breakpoint (0.5, twice), left (-2.5) and right (3.0) of the grid
+    ATOMS = ([0.3, 0.5, 0.5, -2.5, 3.0], [1.5, -0.75, 0.25, 2.0, -1.25])
+
+    def _measure(self):
+        rng = np.random.default_rng(91)
+        density = PiecewisePolynomial(np.array([-1.0, 0.0, 0.5, 2.0]), tuple(rng.standard_normal(3) for _ in range(3)))
+        return density.real_part() + PiecewisePolynomial.atom(*self.ATOMS)
+
+    @pytest.mark.parametrize("base", [-3.0, 0.1, 0.4, 2.5, 3.5])
+    def test_matches_quadrature_plus_jumps(self, base):
+        mu = self._measure()
+        F = mu.antiderivative(base)
+        assert abs(F(base)) < 1e-13
+        xs = (-3.0, -2.5, -1.2, -0.4, 0.3, 0.35, 0.5, 1.1, 2.0, 2.7, 3.0, 4.0)
+        for x in xs:
+            assert F(x).real == pytest.approx(_reference_antiderivative(mu, base, x), abs=1e-9), x
+
+    def test_base_on_either_side_of_an_atom(self):
+        mu = self._measure()
+        left, right = mu.antiderivative(0.3 - 1e-3), mu.antiderivative(0.3 + 1e-3)
+        dens = quad(lambda t: np.real(mu(t)), 0.3 - 1e-3, 0.3 + 1e-3)[0]
+        for x in (-1.5, 0.0, 1.0, 3.5):
+            assert (left(x) - right(x)).real == pytest.approx(1.5 + dens, abs=1e-12)
+
+    def test_right_continuous_at_atoms(self):
+        F = self._measure().antiderivative(0.0)
+        for x, mass in ((0.3, 1.5), (0.5, -0.5), (-2.5, 2.0), (3.0, -1.25)):
+            step = F(x) - F(np.nextafter(x, -np.inf))
+            assert step == pytest.approx(mass, abs=1e-12)
+            assert F(np.nextafter(x, np.inf)) == pytest.approx(F(x), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

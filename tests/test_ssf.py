@@ -9,11 +9,12 @@ from opshift.errors import ValidationError
 from opshift.functions import NODE_MERGE_RELTOL, GaussianFunction, PolynomialFunction, bump, rational_from_poles
 from opshift.linalg import HermitianOperator
 from opshift.moi import taylor_remainder
-from opshift.piecewise import DiscreteMeasure
+from opshift.piecewise import PiecewisePolynomial
 from opshift.ssf import (
     ScalingReport,
     SpectralShiftDensity,
     _poly_on_grid,
+    _u_l1_norm,
     measure_weight_shift,
     reconstruct_density,
     rp_term_measures,
@@ -252,21 +253,21 @@ class TestUniquenessFit:
 
 class TestMeasureWeightShift:
     def test_fundamental_theorem(self):
-        mu = DiscreteMeasure(np.array([1.0]), np.array([1.0]))
+        mu = PiecewisePolynomial.atom(np.array([1.0]), np.array([1.0]))
         g = GaussianFunction(0.0, 1.0)
         rep = measure_weight_shift(mu, 0, 0, 1, 1.0, [g])
         assert rep.residuals[0] <= 1e-8
         assert rep.bound_holds
 
     def test_zero_measure(self):
-        mu = DiscreteMeasure(np.array([]), np.array([]))
+        mu = PiecewisePolynomial.atom(np.array([]), np.array([]))
         g = GaussianFunction(0.0, 1.0)
         rep = measure_weight_shift(mu, 0, 1, 2, 0.5, [g])
         assert rep.mu_tilde_norm == pytest.approx(0.0, abs=1e-12)
         assert rep.residuals[0] <= 1e-10
 
     def test_spec_instance(self):
-        mu = DiscreteMeasure(np.array([2.0, -1.0]), np.array([3.0, -1.0]))
+        mu = PiecewisePolynomial.atom(np.array([2.0, -1.0]), np.array([3.0, -1.0]))
         g = GaussianFunction(0.1, 1.0)
         rep = measure_weight_shift(mu, 0, 1, 2, 0.5, [g])
         assert max(rep.residuals) <= 1e-8
@@ -277,15 +278,35 @@ class TestMeasureWeightShift:
         gs = [GaussianFunction(0.2, 1.1), real_rational(rng, 10)]
         for _ in range(10):
             count = int(rng.integers(1, 5))
-            mu = DiscreteMeasure(rng.uniform(-3, 3, count), rng.standard_normal(count) + 1j * rng.standard_normal(count))
+            mu = PiecewisePolynomial.atom(rng.uniform(-3, 3, count), rng.standard_normal(count) + 1j * rng.standard_normal(count))
             n, m, k = int(rng.integers(0, 2)), int(rng.integers(0, 3)), int(rng.integers(1, 4))
             eps = float(rng.uniform(0.25, 1.0))
             rep = measure_weight_shift(mu, n, m, k, eps, gs)
-            assert max(rep.residuals) <= 1e-8 * (1.0 + mu.total_variation())
+            assert max(rep.residuals) <= 1e-8 * (1.0 + mu.atomic_mass())
             assert rep.bound_holds
 
+    def test_no_shift_keeps_the_atoms(self):
+        # k = 0: the shifted measure is u^-eps mu, with norm sum |w_j| |x_j - i|^-eps
+        pts, wts = np.array([2.0, -1.0, 0.5]), np.array([3.0, -1.0, 0.5j])
+        mu = PiecewisePolynomial.atom(pts, wts)
+        g = GaussianFunction(0.1, 1.0)
+        for m in (0, 1, 2):
+            rep = measure_weight_shift(mu, 1, m, 0, 0.5, [g])
+            assert rep.mu_tilde_norm == pytest.approx(np.sum(np.abs(wts) * np.abs(pts - 1j) ** -0.5), rel=1e-14)
+            assert rep.residuals[0] <= 1e-14
+            assert rep.xi.atoms and rep.bound_holds
+
+    def test_measure_with_a_density_part(self):
+        # a compactly supported density plus atoms shifts on the same path; the bound takes its total variation
+        mu = PiecewisePolynomial.indicator(-1.0, 0.5).multiply_linear(0.3, 1.0) + PiecewisePolynomial.atom([0.2, 2.0], [1.0, -0.5j])
+        g = GaussianFunction(0.1, 0.9)
+        for k in (0, 1, 2, 3):
+            rep = measure_weight_shift(mu, 1, 1, k, 0.5, [g])
+            assert rep.residuals[0] <= 1e-13
+            assert rep.bound_value > 1.5 * _u_l1_norm(0.5) and rep.bound_holds
+
     def test_epsilon_validation(self):
-        mu = DiscreteMeasure(np.array([0.0]), np.array([1.0]))
+        mu = PiecewisePolynomial.atom(np.array([0.0]), np.array([1.0]))
         with pytest.raises(ValidationError):
             measure_weight_shift(mu, 0, 0, 1, 0.0, [])
         with pytest.raises(ValidationError):
