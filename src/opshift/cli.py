@@ -37,7 +37,7 @@ from .cov import (
     kernel_sum_density,
     trace_via_measure,
 )
-from .ensembles import admissible_family, normalized_bump_family, random_hermitian, random_pair, real_rational, rng_stream
+from .ensembles import admissible_family, normalized_bump_family, random_hermitian, random_hermitians, random_pair, real_rational, rng_stream
 from .errors import ValidationError
 from .linalg import HermitianOperator
 # taylor_remainder stays importable here: bench/tracing.py patches it at this import site
@@ -157,8 +157,9 @@ def _check(checks, check_id, description, value, tolerance, ok=None):
 
 
 def _random_signature(rng, m):
+    # one integers(3) draw per letter: the stream of rng.choice(["L", "0", "R"])
     while True:
-        ent = [str(rng.choice(["L", "0", "R"])) for _ in range(m + 1)]
+        ent = ["L0R"[rng.integers(3)] for _ in range(m + 1)]
         if ent[0] != "L" and ent[-1] != "R":
             return EpsilonSignature(tuple(ent))
 
@@ -183,8 +184,8 @@ def suite_verify_identities(cfg: ExperimentConfig):
         dim = int(rng.choice(cfg.dims))
         m = int(rng.integers(1, 5))
         eps = _random_signature(rng, m)
-        Hs = [random_hermitian(rng, dim, 1.0) for _ in range(m + 1)]
-        Vs = [random_hermitian(rng, dim, 0.8).entries for _ in range(m)]
+        Hs = random_hermitians(rng, m + 1, dim, 1.0)
+        Vs = [h.entries for h in random_hermitians(rng, m, dim, 0.8)]
         exp = cov_expand(g, eps, Hs, Vs)
         worst = max(worst, exp.residual / exp.scale)
     _check(checks, "cov.operator", "operator expansion along random signatures", worst, tol["identity"])
@@ -194,8 +195,8 @@ def suite_verify_identities(cfg: ExperimentConfig):
         worst = 0.0
         for _ in range(max(1, cfg.operator_samples // 4)):
             dim = int(rng.choice(cfg.dims))
-            Hs = [random_hermitian(rng, dim, 1.0) for _ in range(m + 1)]
-            Vs = [random_hermitian(rng, dim, 0.8).entries for _ in range(m)]
+            Hs = random_hermitians(rng, m + 1, dim, 1.0)
+            Vs = [h.entries for h in random_hermitians(rng, m, dim, 0.8)]
             exp = corollary_expand(g, parity, Hs, Vs)
             worst = max(worst, exp.residual / exp.scale)
         _check(checks, f"cov.alternating_{parity}", f"alternating-signature decomposition ({parity})", worst, tol["identity"])
@@ -204,8 +205,8 @@ def suite_verify_identities(cfg: ExperimentConfig):
     for _ in range(max(1, cfg.operator_samples // 3)):
         dim = int(rng.choice(cfg.dims))
         n_args = int(rng.integers(1, 4))
-        Hs = [random_hermitian(rng, dim, 1.0) for _ in range(n_args + 1)]
-        Vs = [random_hermitian(rng, dim, 0.8).entries for _ in range(n_args)]
+        Hs = random_hermitians(rng, n_args + 1, dim, 1.0)
+        Vs = [h.entries for h in random_hermitians(rng, n_args, dim, 0.8)]
         A = Hs[0]
         B = random_hermitian(rng, dim, 1.0)
         slot = int(rng.integers(1, n_args + 2))
@@ -219,8 +220,8 @@ def suite_verify_identities(cfg: ExperimentConfig):
     for variant in ("left", "inner", "right"):
         dim = int(rng.choice(cfg.dims))
         n_args = 3
-        Hs = [random_hermitian(rng, dim, 1.0) for _ in range(n_args + 1)]
-        Vs = [random_hermitian(rng, dim, 0.8).entries for _ in range(n_args)]
+        Hs = random_hermitians(rng, n_args + 1, dim, 1.0)
+        Vs = [h.entries for h in random_hermitians(rng, n_args, dim, 0.8)]
         j = 1 if variant == "inner" else None
         _, _, res, scale = basic_change_of_variables(g, Hs, Vs, variant, j)
         worst = max(worst, res / scale)
@@ -296,8 +297,8 @@ def suite_bounds(cfg: ExperimentConfig):
             slopes[parity] = min(slopes.get(parity, np.inf), order if order is not None else np.inf)
         g = real_rational(rng, 8)
         mlen = 2
-        Hs = [random_hermitian(rng, dim, 1.0) for _ in range(mlen + 1)]
-        Us = [random_hermitian(rng, dim, 0.8).entries for _ in range(mlen)]
+        Hs = random_hermitians(rng, mlen + 1, dim, 1.0)
+        Us = [h.entries for h in random_hermitians(rng, mlen, dim, 0.8)]
         U0 = random_hermitian(rng, dim, 1.0).entries
         tm = trace_via_measure(U0, g, Us, Hs)
         ratio_worst = max(ratio_worst, tm.residual / tm.scale)

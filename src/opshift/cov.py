@@ -26,6 +26,7 @@ slot, on which side resolvents are attached.  The machinery here covers
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -36,7 +37,7 @@ from .errors import ValidationError
 from .functions import TestFunction, _bspline_levels, _merge_rows, divided_difference, peano_kernel, weight_multiply
 from .linalg import HermitianOperator, _check_poles_off, schatten_norm
 from .moi import MoiSymbol, OperatorTuple, _chain_chunks, _chain_cores, _cluster_codes, _cluster_sum, _eigenbasis_factors, _group_rows, check_tuple_budget, moi_eval
-from .piecewise import PiecewisePolynomial, _weighted_modulus, integral_against_derivative
+from .piecewise import PiecewisePolynomial, _distinct, _weighted_modulus, integral_against_derivative
 
 __all__ = [
     "EpsilonSignature",
@@ -191,14 +192,13 @@ def cov_scalar_identity(g: TestFunction, eps: EpsilonSignature, lambdas):
         (_U_INV(lam[i]) for i in range(len(lam)) if eps[i] != "0"), start=1.0 + 0.0j
     )
     lhs = divided_difference(g, lam)
-    rhs = 0.0 + 0.0j
-    mag = 0.0
+    nodes, terms = np.array(lam), []
     for _, group in itertools.groupby(_expansion_terms(eps), key=lambda t: t[1]):
         signs, _, powers, combos = zip(*group)
-        terms = signs[0] * divided_difference(weight_multiply(g, powers[0]), np.array(lam)[np.array(combos)]) * u_factor
-        rhs += terms.sum()
-        mag += np.abs(terms).sum()
-    scale = 1.0 + abs(lhs) + mag
+        terms.append(signs[0] * divided_difference(weight_multiply(g, powers[0]), nodes[np.array(combos)]))
+    terms = np.concatenate(terms) * u_factor
+    rhs = complex(terms.sum())
+    scale = 1.0 + abs(lhs) + float(np.abs(terms).sum())
     return lhs, rhs, abs(lhs - rhs), scale
 
 
@@ -227,6 +227,7 @@ class CovExpansion:
     scale: float
 
 
+@functools.lru_cache(maxsize=None)
 def _product_descriptor(i, j):
     if j <= i:
         return "I"
@@ -272,30 +273,35 @@ def cov_expand(g: TestFunction, eps: EpsilonSignature, Hs, Vs) -> CovExpansion:
     # slot 0 is never touched by the expansion products; a placeholder keeps
     # the checked list aligned with the argument indexing 1..m
     factors = _eigenbasis_factors(decs, build_check_operators(eps, Hs, [np.zeros((dim, dim))] + args)[1:])
-    G = {}  # G[a, b] = E_{a+1} ... E_b for a < b, built in lexicographic order
+    G = np.zeros((m + 1, m + 1, dim, dim), dtype=complex)  # G[a, b] = E_{a+1} ... E_b for a < b
     for a, b in itertools.combinations(range(m + 1), 2):
         G[a, b] = G[a, b - 1] @ factors[b - 1] if b > a + 1 else factors[a]
     x0, xm = decs[0].eigenvectors, decs[m].eigenvectors.conj().T
-    # (X_0 G_{0,i}, G_{i,m} X_m^*) per index i; G_{i,i} = I is skipped
-    outer = [(x0 @ G[0, i] if i else x0, G[i, m] @ xm if i < m else xm) for i in range(m + 1)]
+    # X_0 G_{0,i} and G_{i,m} X_m^* per index i; G_{i,i} = I is skipped
+    left = np.stack([x0 @ G[0, i] if i else x0 for i in range(m + 1)])
+    right = np.stack([G[i, m] @ xm if i < m else xm for i in range(m + 1)])
+    clusters = _cluster_codes(decs)
     rhs = np.zeros((dim, dim), dtype=complex)
-    terms = []
+    terms, stacked = [], []
     for k, group in itertools.groupby(_expansion_terms(eps), key=lambda t: t[1]):
         group = list(group)
         gk = weight_multiply(g, group[0][2])
+        combos = np.array([combo for *_, combo in group])
         if k:
-            cores = _chain_cores(gk, decs, [(combo, [G[ab] for ab in zip(combo, combo[1:])]) for *_, combo in group])
+            cores = _chain_cores(gk, decs, combos, [G[combos[:, j], combos[:, j + 1]] for j in range(k)], clusters)
         else:
-            cores = [np.diag(np.asarray(gk.eval_deriv(0, decs[i].eigenvalues), dtype=complex)[decs[i].labels]) for *_, (i,) in group]
-        for (sign, _, power, combo), core in zip(group, cores):
-            value = outer[combo[0]][0] @ core @ outer[combo[-1]][1]
-            rhs = rhs + sign * value
+            cores = np.stack([np.diag(np.asarray(gk.eval_deriv(0, decs[i].eigenvalues), dtype=complex)[decs[i].labels]) for i in combos[:, 0]])
+        values = left[combos[:, 0]] @ cores @ right[combos[:, -1]]
+        # every term of order k carries the sign (-1)^(m-k)
+        rhs = rhs + group[0][0] * values.sum(axis=0)
+        stacked.append(values)
+        for (sign, _, power, combo), value in zip(group, values):
             inner_desc = tuple(_product_descriptor(a, b) for a, b in zip(combo[:-1], combo[1:]))
             left_desc, right_desc = _product_descriptor(0, combo[0]), _product_descriptor(combo[-1], m)
             terms.append(ExpansionTerm(sign, k, combo, power, value, left_desc, inner_desc, right_desc))
     # spectral norms of lhs - rhs, lhs and every term from one stacked call;
     # the term norms are added in order (sum() compensates from Python 3.12)
-    residual, lhs_norm, *norms = np.linalg.svd(np.stack([lhs - rhs, lhs] + [t.value for t in terms]), compute_uv=False).max(axis=-1).tolist()
+    residual, lhs_norm, *norms = np.linalg.svd(np.concatenate([np.stack([lhs - rhs, lhs])] + stacked), compute_uv=False).max(axis=-1).tolist()
     mag = 0.0
     for norm in norms:
         mag += norm
@@ -347,8 +353,8 @@ def basic_change_of_variables(f: TestFunction, Hs, Vs, variant, j=None):
     else:
         raise ValidationError("variant must be 'left', 'inner' or 'right'")
     exp = cov_expand(f, EpsilonSignature(tuple(ent)), Hs, Vs)
-    scale = 1.0 + float(np.linalg.norm(exp.lhs, 2)) + float(np.linalg.norm(exp.rhs, 2))
-    return exp.lhs, exp.rhs, exp.residual, scale
+    lhs_norm, rhs_norm = np.linalg.svd(np.stack([exp.lhs, exp.rhs]), compute_uv=False).max(axis=-1).tolist()
+    return exp.lhs, exp.rhs, exp.residual, 1.0 + lhs_norm + rhs_norm
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +599,7 @@ def _fold_kernels(nodes, weights, m, hull):
     masses = weights[point] / fact
     atom_mass = _group_sums(where, masses, len(atom_x))
     knots, weights_k = zs[~point], weights[~point]
-    grid = np.union1d(knots.ravel(), atom_x)
+    grid = _distinct(knots, atom_x)
     lo, mid = grid[:-1], 0.5 * (grid[:-1] + grid[1:])
     coeffs = np.zeros((len(mid), max(m, 1)), dtype=complex)
     step = max(1, _FOLD_CHUNK // max(1, m * len(mid) * m))

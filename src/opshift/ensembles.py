@@ -15,6 +15,7 @@ from .linalg import HermitianOperator
 __all__ = [
     "rng_stream",
     "random_hermitian",
+    "random_hermitians",
     "random_pair",
     "real_rational",
     "admissible_family",
@@ -28,12 +29,20 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def random_hermitian(rng, dim, norm=1.0) -> HermitianOperator:
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = 0.5 * (a + a.conj().T)
-    op_norm = np.linalg.norm(h, 2)
-    if op_norm > 0:
-        h = h * (norm / op_norm)
-    return HermitianOperator(h)
+    return random_hermitians(rng, 1, dim, norm)[0]
+
+
+def random_hermitians(rng, count, dim, norm=1.0) -> list:
+    """``count`` draws of :func:`random_hermitian`, bit for bit, from one
+    normal draw (the stream of ``count`` (2, dim, dim) draws) and one
+    stacked ``eigvalsh`` for their 2-norms."""
+    draw = rng.standard_normal((count, 2, dim, dim))
+    a = draw[:, 0] + 1j * draw[:, 1]
+    h = 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
+    lam = np.linalg.eigvalsh(h)
+    op_norm = np.maximum(-lam[:, 0], lam[:, -1])
+    scale = np.divide(norm, op_norm, out=np.ones(count), where=op_norm > 0)
+    return [HermitianOperator(x) for x in h * scale[:, None, None]]
 
 
 def random_pair(rng, dim, h_norm=1.0, v_norm=0.5):

@@ -12,15 +12,25 @@ every order:
 * plain polynomials.
 
 On top of these the module provides divided differences, taken at one
-node row or at every row of a (rows, p+1) array in one call.  They read
-f[z_0..z_p] as entry (0, p) of f(J), J the bidiagonal Opitz matrix of
-the nodes, so nothing divides by a node gap and nodes are never merged:
-rationals, polynomials and bumps on rows inside their support build the
-first row of f(J) from linear factors over all rows at once, Gaussians
-take one small matrix exponential per row, and bump rows across a kink
-integrate f^(p) against their B-spline (Peano) kernel.  The module also
-provides analytic weighted-class membership decisions and the B-spline
-kernels themselves, whose clusters closer than NODE_MERGE_RELTOL merge.
+node row or at every row of a (rows, p+1) array in one call.  Nothing
+divides by a node gap and nodes are never merged.  A proper rational
+with simple poles p_j takes the residue form
+
+    f[z_0..z_p] = (-1)^p sum_j r_j / prod_i (z_i - p_j)
+
+in one broadcast over all rows and poles, with its residues r_j cached
+per (factors, scale).  A row whose terms sum in modulus to more than
+RESIDUE_GUARD = 1e2 times |f[z]| cancels too much for that form (close
+poles, or nodes far from the poles against their spread); it takes the
+Opitz recurrence, which reads f[z_0..z_p] as entry (0, p) of f(J), J the
+bidiagonal Opitz matrix of the nodes, and so does every row of a
+rational with a multiple pole or of an improper one.  Polynomials and
+bumps on rows inside their support build the first row of f(J) from
+linear factors over all rows at once, Gaussians take one small matrix
+exponential per row, and bump rows across a kink integrate f^(p)
+against their B-spline (Peano) kernel.  The module also provides
+analytic weighted-class membership decisions and the B-spline kernels
+themselves, whose clusters closer than NODE_MERGE_RELTOL merge.
 """
 
 from __future__ import annotations
@@ -308,8 +318,10 @@ class PolynomialFunction(TestFunction):
         return PolynomialFunction(tuple(c), self.weight_power + power)
 
 
+@lru_cache(maxsize=32)
 def weight_multiply(f: TestFunction, power: int) -> TestFunction:
-    """Multiply f by u^power, u(x) = x - i, tracking the weight bookkeeping."""
+    """Multiply f by u^power, u(x) = x - i, tracking the weight bookkeeping;
+    cached, since an expansion asks for the same few powers of one f."""
     if power < 0:
         raise ValidationError("weight power must be nonnegative")
     if power == 0:
@@ -384,7 +396,69 @@ def _first_row(coeffs, d):
     return row
 
 
+# rows whose partial-fraction terms exceed |f[z]| by more than this factor
+# cancel too much for the residue form; they take the Opitz recurrence
+RESIDUE_GUARD = 1e2
+
+
+@lru_cache(maxsize=32)
+def _partial_fractions(factors, scale):
+    """((Re p, -Im p), (r, -r)) as columns over the poles p_j of
+    scale * prod (x - z)^(-m) when it is proper (decay order >= 1) with
+    simple, distinct poles: then f(x) = sum_j r_j / (x - p_j) with
+    r_j = scale * prod_{z != p_j} (p_j - z)^(-m), and -r serves odd
+    orders.  None for any other rational."""
+    zs, ms = [complex(z) for z, _ in factors], [m for _, m in factors]
+    if len(set(zs)) < len(zs) or max(ms, default=0) > 1 or sum(ms) < 1:
+        return None
+    poles = [p for p, m in zip(zs, ms) if m == 1]
+    residues = np.array([scale * math.prod((p - z) ** -m for z, m in zip(zs, ms) if z != p) for p in poles], dtype=complex)
+    poles = np.array(poles)[:, None]
+    return (poles.real.copy(), -poles.imag), (residues[:, None], -residues[:, None])
+
+
 def _rational_divided_difference(f: RationalFunction, zs):
+    """f[zs] for every row of zs.  A proper rational with simple poles
+    takes the residue form of its divided difference (de Boor, Surv.
+    Approx. Theory 1 (2005)),
+
+        f[z_0..z_p] = (-1)^p sum_j r_j / prod_i (z_i - p_j),
+
+    one broadcast over all rows and poles, with the residues r_j cached per
+    (factors, scale).  Rows where sum_j |r_j / prod_i (z_i - p_j)| exceeds
+    RESIDUE_GUARD |f[z]| lose too many digits to cancellation (close poles,
+    or nodes far from the poles against their spread); they, and every row
+    of a rational with a multiple pole or of an improper one, take
+    :func:`_opitz_divided_difference`.  Neither path divides by a node gap,
+    and each row's value depends on that row alone."""
+    parts = _partial_fractions(f.factors, complex(f.scale))
+    if parts is None:
+        return _opitz_divided_difference(f, zs)
+    (re, minus_im), signed = parts
+    p = zs.shape[1] - 1
+    residues = signed[p % 2]
+    vals = np.empty(len(zs), dtype=complex)
+    # row chunks keep the (p+1, poles, rows) array near 16 bytes * 2**16 = 1 MB
+    step = max(1, 2**16 // (len(re) * (p + 1)))
+    for lo in range(0, len(zs), step):
+        z = zs[lo : lo + step]
+        # z_i - p_j, written part by part: numpy's complex ops are slow on broadcast operands
+        d = np.empty((p + 1, len(re), len(z)), dtype=complex)
+        np.subtract(z.T[:, None, :], re, out=d.real)
+        d.imag = minus_im
+        prod = d[0]
+        for col in d[1:]:
+            prod = prod * col
+        terms = residues / prod
+        # sums over the poles in index order (accumulate): a row's value does not depend on its batch
+        v = vals[lo : lo + step] = np.add.accumulate(terms)[-1]
+        bad = (np.add.accumulate(np.abs(terms))[-1] > RESIDUE_GUARD * np.abs(v)).nonzero()[0]
+        if bad.size:
+            vals[lo + bad] = _opitz_divided_difference(f, z[bad])
+    return vals
+
+
+def _opitz_divided_difference(f: RationalFunction, zs):
     """f[zs] for every row of zs as the last entry of the first row of f(J).
     Each factor (x - z)^(-m) is one bidiagonal solve or product per unit of
     |m|, with pivots x_k - z off the real axis, run over all rows at once;

@@ -83,8 +83,11 @@ class HermitianOperator:
     __rmul__ = __mul__
 
     def norm(self):
+        """Operator 2-norm, the largest |eigenvalue| from ``eigvalsh``
+        (ascending), which costs less than the singular values; cached."""
         if self._norm is None:
-            self._norm = float(np.linalg.norm(self.entries, 2)) if self.dim > 1 else float(abs(self.entries[0, 0]))
+            lam = np.linalg.eigvalsh(self.entries)
+            self._norm = float(max(-lam[0], lam[-1]))
         return self._norm
 
     def resolvent(self):
@@ -98,7 +101,7 @@ class HermitianOperator:
     def decomposition(self):
         """Spectral decomposition at the default clustering tolerance; cached."""
         if self._decomp is None:
-            self._decomp = spectral_decompose(self, default_cluster_tolerance(self.norm()))
+            self._decomp = spectral_decompose(self)
         return self._decomp
 
     def __repr__(self):
@@ -179,22 +182,24 @@ def spectral_decompose(H, cluster_tolerance=None) -> SpectralDecomposition:
 
     Eigenvalues closer than ``cluster_tolerance`` (chained) are merged
     into a single cluster whose projection is the sum of the individual
-    spectral projections and whose eigenvalue is the cluster mean.
+    spectral projections and whose eigenvalue is the cluster mean.  The
+    default tolerance takes the norm from the eigenvalues themselves.
     """
     if not isinstance(H, HermitianOperator):
         H = HermitianOperator(H)
-    if cluster_tolerance is None:
-        cluster_tolerance = default_cluster_tolerance(H.norm())
-    if cluster_tolerance < 0:
+    if cluster_tolerance is not None and cluster_tolerance < 0:
         raise ValidationError("cluster tolerance must be nonnegative")
     try:
         lam, U = np.linalg.eigh(H.entries)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger on lapack
         raise NumericError("eigensolver failed to converge") from exc
+    if cluster_tolerance is None:
+        cluster_tolerance = default_cluster_tolerance(max(-lam[0], lam[-1]))
     # a new cluster starts where the gap to the previous eigenvalue exceeds the tolerance
     labels = np.concatenate([[0], np.cumsum(np.diff(lam) > cluster_tolerance)])
-    eigenvalues = [float(np.mean(lam[labels == j])) for j in range(labels[-1] + 1)]
-    return SpectralDecomposition(np.array(eigenvalues), U, labels, float(cluster_tolerance))
+    if labels[-1] + 1 < len(lam):  # some eigenvalues merged
+        lam = np.array([float(np.mean(lam[labels == j])) for j in range(labels[-1] + 1)])
+    return SpectralDecomposition(lam, U, labels, float(cluster_tolerance))
 
 
 def _check_poles_off(f, values, what="spectrum"):

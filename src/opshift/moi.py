@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import BudgetError, ValidationError
 from .functions import TestFunction, divided_difference, weight_multiply
-from .linalg import HermitianOperator, _check_poles_off, func_calculus, schatten_norm
+from .linalg import HermitianOperator, _check_poles_off, func_calculus
+from .piecewise import _distinct
 
 __all__ = [
     "MoiSymbol",
@@ -117,33 +118,45 @@ def _cluster_codes(decs):
     """(starts, values, codes): each H_k's first column per cluster, the
     sorted distinct eigenvalues of all the decompositions, and each H_k's
     cluster nodes as indices into them."""
-    starts = [np.searchsorted(d.labels, np.arange(len(d.eigenvalues))) for d in decs]  # labels run 0, 0, 1, ...
-    values = np.sort(np.concatenate([d.eigenvalues for d in decs]))
-    # distinct values by hand: np.unique without return_inverse imports numpy.ma (about 1 MB)
-    values = values[np.append(True, values[1:] != values[:-1])]
-    return starts, values, [np.searchsorted(values, d.eigenvalues).astype(np.int32) for d in decs]
+    eigenvalues = np.concatenate([d.eigenvalues for d in decs])
+    values = _distinct(eigenvalues)
+    at, codes = np.searchsorted(values, eigenvalues).astype(np.int32), []
+    for d in decs:
+        codes.append(at[: len(d.eigenvalues)])
+        at = at[len(d.eigenvalues) :]
+    # labels run 0, 0, 1, ...; kept off the decomposition, which a caller may hold long
+    return [np.searchsorted(d.labels, np.arange(len(d.eigenvalues))) for d in decs], values, codes
 
 
-def _chain_chunks(factors, starts, dim, per_entry):
+def _chain_chunks(factors, starts, dim, per_entry, fit=None):
     """(lo, hi, _chain_block) per chunk of whole clusters of H_0 (the block
     is None for p = 0), whose widest array holds ``_CYCLE_CHUNK //
     per_entry`` elements or one cluster; ``starts`` holds the cluster starts
-    of H_0..H_p."""
-    p, counts = len(factors), [len(s) for s in starts]
-    # widest intermediate of _chain_block and of its callers per column of H_0
+    of H_0..H_p, and ``fit`` is :func:`_chain_fit` if already known."""
+    fit = _chain_fit(starts, dim, per_entry) if fit is None else fit
+    edges, count = np.append(starts[0], dim), len(starts[0])
+    bounds = [(edges[j], edges[min(j + max(1, fit), count)]) for j in range(0, count, max(1, fit))]
+    return ((lo, hi, _chain_block(factors, starts, lo, hi) if len(factors) else None) for lo, hi in bounds)
+
+
+def _chain_fit(starts, dim, per_entry):
+    """How many of the widest clusters of H_0 one chunk holds: the widest
+    intermediate of :func:`_chain_block` and of its callers per column of
+    H_0, for the cluster starts of H_0..H_p, times the widest cluster, fits
+    ``_CYCLE_CHUNK // per_entry`` that many times (0 if not once)."""
+    counts, p = [len(s) for s in starts], len(starts) - 1
     widest = max([math.prod(counts[1:k]) * dim * dim for k in range(1, p)] + [math.prod(counts[1:p]) * dim])
-    edges = np.append(starts[0], dim)
-    step = max(1, _CYCLE_CHUNK // (per_entry * widest * int(np.max(np.diff(edges)))))
-    bounds = [(edges[j], edges[min(j + step, counts[0])]) for j in range(0, counts[0], step)]
-    return ((lo, hi, _chain_block(factors, starts, lo, hi) if p else None) for lo, hi in bounds)
+    return _CYCLE_CHUNK // (per_entry * widest * int(np.diff(np.append(starts[0], dim)).max()))
 
 
 def _chain_block(factors, starts, lo, hi):
     """Open chain (i_0, j_1, ..., j_{p-1}, i_p) of the H_0 columns [lo, hi): each
-    i_k is summed into its cluster j_k once F_{k+1} is applied."""
-    chain = factors[0][lo:hi]
+    i_k is summed into its cluster j_k once F_{k+1} is applied.  Factors
+    with a leading axis give one chain per entry of it, stacked."""
+    chain = factors[0][..., lo:hi, :]
     for k in range(1, len(factors)):
-        chain = _cluster_sum(chain[..., None] * factors[k], starts[k], -2)
+        f = factors[k]
+        chain = _cluster_sum(chain[..., None] * f.reshape(f.shape[:-2] + (1,) * k + f.shape[-2:]), starts[k], -2)
     return chain
 
 
@@ -166,51 +179,102 @@ def _group_rows(rows):
     return rows[first], group
 
 
-def _chain_cores(f, decs, chains):
-    """core[i_0, i_p] per chain of a batch under one symbol f^[p], p >= 1:
-    chain (slots, factors) runs over H_{slots[0]}..H_{slots[p]}, and
-    X_{slots[0]} core X_{slots[p]}^* is its operator integral.  The chunks of
-    all chains are contracted in groups, each closed by the chunk that brings
-    it to ``_CYCLE_CHUNK // (16 (p+1))`` entries, with values cached across
-    the batch.  Callers check the budget first."""
-    p = len(chains[0][1])
+def _chain_cores(f, decs, slots, factors, clusters=None):
+    """core[c, i_0, i_p] per chain c of a batch under one symbol f^[p],
+    p >= 1, as a (chains, dim, dim) array.  Chain c runs over the operators
+    H_{slots[c, 0]}..H_{slots[c, p]} with factors[k][c] between
+    H_{slots[c, k]} and H_{slots[c, k+1]}, and X_{slots[c, 0]} core[c]
+    X_{slots[c, p]}^* is its operator integral.  ``clusters`` is
+    :func:`_cluster_codes` of ``decs``, computed here if not given.
+
+    Chains whose operators have equal cluster starts slot by slot are
+    contracted as one stacked array, as many at a time as the chunk bound
+    below allows.  The chunks of all stacks are contracted in groups, each
+    closed by the chunk that brings it to ``_CYCLE_CHUNK // (16 (p+1))``
+    entries, with one :func:`divided_difference` call per group.  When
+    the eigenvalues of ``decs`` are distinct and unclustered and the
+    chains run over distinct sets of distinct operators, a node multiset
+    names its chain's operators and one eigenvector column of each, so no
+    row repeats and the rows go to that call as they are.  Otherwise each
+    group's distinct rows are taken once; a batch that closes in one group
+    takes their values straight from the call, a longer one caches them
+    across its groups.  Callers check the budget first."""
+    slots = np.asarray(slots)
+    p = slots.shape[1] - 1
     # chunks 16(p+1) times smaller: each entry carries p+1 node codes through sorted copies
     per_entry, dim = 16 * (p + 1), decs[0].dim
-    starts, values, codes = _cluster_codes(decs)
-    cores = [np.zeros((dim, dim), dtype=complex) for _ in chains]
-    cache, group, size = {}, [], 0
-    for core, (slots, factors) in zip(cores, chains):
-        head, tail = (codes[s][decs[s].labels] for s in (slots[0], slots[p]))  # node code per column
-        for lo, hi, chain in _chain_chunks(factors, [starts[s] for s in slots], dim, per_entry):
-            hit = np.flatnonzero(chain)
-            columns = [head[lo:hi], *(codes[s] for s in slots[1:p]), tail]
-            rows = np.stack([c[i] for c, i in zip(columns, np.unravel_index(hit, chain.shape))], axis=1)
-            group.append((core[lo:hi], chain, hit, rows))
-            size += chain.size
-            # a group is contracted once it reaches the bound, before the next chunk is built
-            if size >= _CYCLE_CHUNK // per_entry:
-                _contract_group(f, values, cache, group)
-                group, size = [], 0
+    starts, values, codes = clusters or _cluster_codes(decs)
+    # node codes of H_k in row k: its clusters' first, then its eigenvector columns' from column K on
+    K = max(len(c) for c in codes)
+    table = np.zeros((len(decs), K + dim), dtype=np.int32)
+    for row, c, d in zip(table, codes, decs):
+        row[: len(c)], row[K:] = c, c[d.labels]
+    chains = slots.tolist()
+    # a chain over a repeated operator, or two chains over one set of operators, can repeat rows
+    dedup = len(values) < dim * len(decs) or len({frozenset(c) for c in chains if len(set(c)) == p + 1}) < len(chains)
+    shapes = [s.tobytes() for s in starts]
+    stacks = {}
+    for c, row in enumerate(chains):
+        stacks.setdefault(tuple(shapes[k] for k in row), []).append(c)
+    cores = np.zeros((len(slots), dim, dim), dtype=complex)
+    cache, group, size, outs = None, [], 0, []
+    for members in stacks.values():
+        ends = [starts[k] for k in slots[members[0]]]
+        fit = _chain_fit(ends, dim, per_entry)
+        per_stack = max(1, fit)
+        for first in range(0, len(members), per_stack):
+            idx = members[first : first + per_stack]
+            if len(idx) == len(slots):  # the whole batch in one stack
+                idx = slice(None)
+            stack = slots[idx]
+            out = np.zeros((len(stack), dim, dim), dtype=complex)
+            outs.append((idx, out))
+            for lo, hi, chain in _chain_chunks([a[idx] for a in factors], ends, dim, per_entry, fit // len(stack)):
+                hit = np.flatnonzero(chain)
+                ix = np.unravel_index(hit, chain.shape)  # (chain, i_0 - lo, j_1, ..., j_{p-1}, i_p)
+                where = np.stack([K + lo + ix[1], *ix[2:-1], K + ix[-1]], axis=1)
+                group.append((out[:, lo:hi], chain, hit, table[stack[ix[0]], where]))
+                size += chain.size
+                # a group is contracted once it reaches the bound, before the next chunk is built
+                if size >= _CYCLE_CHUNK // per_entry:
+                    cache = {} if dedup and cache is None else cache
+                    _contract_group(f, values, group, dedup, cache)
+                    group, size = [], 0
     if group:
-        _contract_group(f, values, cache, group)
+        _contract_group(f, values, group, dedup, cache)
+    for idx, out in outs:
+        cores[idx] = out
     return cores
 
 
-def _contract_group(f, values, cache, group):
-    """Each (core rows, chain, nonzero entries, node-code rows) of a group:
-    the chain weighted by f^[p] at each entry's nodes, summed over its inner
-    axes, from one :func:`divided_difference` call over the group's rows not
-    yet in ``cache`` (a row's value does not depend on the rest of its call)."""
-    keys, which = _group_rows(np.concatenate([rows for *_, rows in group]))
-    rows = list(map(tuple, keys.tolist()))
-    fresh = [i for i, row in enumerate(rows) if row not in cache]
-    if fresh:
-        cache.update(zip([rows[i] for i in fresh], divided_difference(f, values[keys[fresh]])))
-    vals, at = np.array([cache[row] for row in rows])[which], 0
+def _contract_group(f, values, group, dedup, cache):
+    """Each (core rows, stacked chain, nonzero entries, node-code rows) of a
+    group: the chain weighted by f^[p] at each entry's nodes, summed over
+    its inner axes, from one :func:`divided_difference` call over the
+    group's rows, its distinct rows with ``dedup``, or those of them not
+    yet in ``cache`` when one is given (a row's value does not depend on
+    the rest of its call)."""
+    rows = np.concatenate([rows for *_, rows in group])
+    if not dedup:
+        vals = divided_difference(f, values[rows])
+    else:
+        keys, which = _group_rows(rows)
+        if cache is None:
+            vals = divided_difference(f, values[keys])[which]
+        else:
+            rows = list(map(tuple, keys.tolist()))
+            fresh = [i for i, row in enumerate(rows) if row not in cache]
+            if fresh:
+                cache.update(zip([rows[i] for i in fresh], divided_difference(f, values[keys[fresh]])))
+            vals = np.array([cache[row] for row in rows])[which]
+    at = 0
     for out, chain, hit, _ in group:
-        terms = np.zeros(chain.shape, dtype=complex)
-        terms.flat[hit] = vals[at : at + len(hit)] * chain.flat[hit]
-        out[...] = terms.sum(axis=tuple(range(1, chain.ndim - 1)))
+        if len(hit) == chain.size:
+            terms = vals[at : at + len(hit)].reshape(chain.shape) * chain
+        else:
+            terms = np.zeros(chain.shape, dtype=complex)
+            terms.flat[hit] = vals[at : at + len(hit)] * chain.flat[hit]
+        out[...] = terms.sum(axis=tuple(range(2, chain.ndim - 1)))
         at += len(hit)
 
 
@@ -227,7 +291,7 @@ def moi_eval(symbol: MoiSymbol, optuple: OperatorTuple) -> np.ndarray:
     if p == 0:
         return func_calculus(f, optuple.operators[0])
     decs = check_tuple_budget(optuple.operators)
-    (core,) = _chain_cores(f, decs, [(range(p + 1), _eigenbasis_factors(decs, optuple.arguments))])
+    (core,) = _chain_cores(f, decs, [range(p + 1)], [a[None] for a in _eigenbasis_factors(decs, optuple.arguments)])
     return decs[0].eigenvectors @ core @ decs[p].eigenvectors.conj().T
 
 
@@ -292,11 +356,11 @@ def perturbation_identity(f: TestFunction, optuple: OperatorTuple, A: HermitianO
     ops_r = ops[:slot] + [B] + ops[slot:]
     args_r = args[: slot - 1] + [A.entries - B.entries] + args[slot - 1 :]
     rhs = moi_eval(MoiSymbol(f, 0, n + 1), OperatorTuple(tuple(ops_r), tuple(args_r)))
-    diff = lhs_a - lhs_b - rhs
-    scale = 1.0 + schatten_norm(lhs_a, np.inf) + schatten_norm(lhs_b, np.inf) + schatten_norm(rhs, np.inf)
+    # the four spectral norms from one stacked call
+    residual, norm_a, norm_b, norm_r = np.linalg.svd(np.stack([lhs_a - lhs_b - rhs, lhs_a, lhs_b, rhs]), compute_uv=False).max(axis=-1).tolist()
     return PerturbationReport(
-        residual=float(np.linalg.norm(diff, 2)),
-        scale=scale,
+        residual=residual,
+        scale=1.0 + norm_a + norm_b + norm_r,
         lhs_a=lhs_a,
         lhs_b=lhs_b,
         rhs=rhs,

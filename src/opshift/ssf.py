@@ -32,7 +32,7 @@ from .functions import PolynomialFunction, TestFunction, bump, class_membership,
 from .linalg import HermitianOperator, schatten_norm
 # moi_eval stays importable here: bench/tracing.py patches it at this import site
 from .moi import moi_eval  # noqa: F401
-from .piecewise import PiecewisePolynomial, integral_against_derivative, weighted_abs_integral, _shift_rows
+from .piecewise import PiecewisePolynomial, integral_against_derivative, weighted_abs_integral, weighted_abs_integrals, _distinct, _shift_rows
 
 __all__ = [
     "SpectralShiftDensity",
@@ -217,7 +217,8 @@ def weight_exponent_survey(reports):
     reference exponent w_ref, tabulate the worst ratio of the weighted
     density norm to the bound factor across the ensemble, and report the
     smallest weight whose worst ratio stays within a factor two of the
-    reference weight's.
+    reference weight's.  A report's own exponent reuses its
+    ``weighted_l1``; the other weights share one root search per density.
     """
     w_ref = reports[0].weight_exponent
     weights = list(range(max(1, w_ref - 4), w_ref + 1))
@@ -225,8 +226,11 @@ def weight_exponent_survey(reports):
     for rep in reports:
         if rep.rhs_factor == 0.0:
             continue
+        others = [w for w in weights if w != rep.weight_exponent]
+        norms = dict(zip(others, weighted_abs_integrals(rep.density, others)))
+        norms[rep.weight_exponent] = rep.weighted_l1  # weighted_abs_integral at its own exponent
         for w in weights:
-            worst[w] = max(worst[w], weighted_abs_integral(rep.density, w) / rep.rhs_factor)
+            worst[w] = max(worst[w], norms[w] / rep.rhs_factor)
     reference = worst[w_ref]
     smallest = w_ref
     for w in weights:
@@ -310,7 +314,7 @@ def reconstruct_density(H, V, m) -> SpectralShiftDensity:
     lo, hi = float(np.min(eigs)), float(np.max(eigs))
     if hi - lo < 1e-6:
         hi = lo + 1.0
-    grid = np.unique(eigs)
+    grid = _distinct(eigs)
     n_int = len(grid) - 1
     n_basis = n_int * m
 

@@ -13,6 +13,7 @@ import pytest
 
 from opshift import cli, cov
 from opshift.cli import ExperimentConfig, main
+from opshift.ensembles import rng_stream
 from opshift.errors import ValidationError
 from opshift.piecewise import PiecewisePolynomial
 
@@ -249,12 +250,38 @@ class TestDeterminism:
         assert blobs["a"] == blobs["b"] == blobs["c"] == blobs["d"]
 
 
+class TestStreams:
+    @pytest.mark.parametrize("seed", range(100, 106))
+    def test_random_signature_draws_the_choice_stream(self, seed):
+        # one integers(3) per letter is the stream of rng.choice(["L", "0", "R"])
+        rng, old = rng_stream(seed, 1), rng_stream(seed, 1)
+        for m in [1, 2, 3, 4, 5] * 8:
+            while True:
+                ent = tuple(str(old.choice(["L", "0", "R"])) for _ in range(m + 1))
+                if ent[0] != "L" and ent[-1] != "R":
+                    break
+            assert cli._random_signature(rng, m).entries == ent
+        assert rng.random() == old.random()
+
+
 class TestStartup:
     def test_import_loads_no_scipy(self):
         src = Path(cli.__file__).resolve().parents[1]
         code = "import sys, opshift, opshift.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_opshift_all_loads_no_scipy_and_no_numpy_ma(self, tmp_path):
+        # np.union1d and np.unique without return_inverse import numpy.ma (about 1.7 MB)
+        src = Path(cli.__file__).resolve().parents[1]
+        code = (
+            "import sys; from opshift import cli; rc = cli.main(['all', '--out', sys.argv[1]]); "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))"
+        )
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], cwd=src, capture_output=True, text=True, check=True)
+        rc, loaded = out.stdout.strip().split(" ", 1)
+        assert rc in ("0", "1") and loaded == "[]"
+        assert (tmp_path / "report.json").is_file()
 
     def test_public_names_resolve(self):
         # a name dropped from a module must leave its __all__ and the package imports too

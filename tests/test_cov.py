@@ -698,7 +698,8 @@ class TestOnePassExpansion:
         for word in (("R", "L", "R", "L"), ("R", "0", "L", "0"), ("0", "R", "L", "L")):
             eps = EpsilonSignature(word)
             _assert_matches_per_term(cov_expand(g, eps, Hs, Vs), g, eps, Hs, Vs)
-        assert any(not np.any(b[i]) for b in blocks for i in range(len(b)))  # exactly zero rows
+        # exactly zero rows i_0 (axis 1: the chains of an order come stacked on axis 0)
+        assert any(not np.any(row) for b in blocks for row in np.swapaxes(b, 0, 1))
         assert chunk > 1 or any(not np.any(b) for b in blocks)
 
     def test_several_chunks_match_one_pass(self, monkeypatch):
@@ -723,6 +724,47 @@ class TestOnePassExpansion:
         errors = [np.max(np.abs(a.value - b.value)) for a, b in zip(whole.terms, chunked.terms)]
         assert max(errors + [np.max(np.abs(whole.rhs - chunked.rhs))]) <= 1e-14 * whole.scale
         _assert_matches_per_term(chunked, g, eps, Hs, Vs)
+
+    def test_stacked_chains_match_one_chain_batches(self, monkeypatch):
+        # H_1 has a repeated eigenvalue, so the chains with H_1 first and those
+        # with H_1 in the middle form a stack each, apart from the rest
+        Hs, _ = ops_and_args(860, 4, 4)
+        Hs[1] = _degenerate_case(860, 4, 1)[2][0]
+        decs = [h.decomposition() for h in Hs]
+        slots = np.array(list(itertools.combinations(range(5), 3)))
+        rng = np.random.default_rng(860)
+        factors = [rng.standard_normal((len(slots), 4, 4)) + 1j * rng.standard_normal((len(slots), 4, 4)) for _ in range(2)]
+        g = weight_multiply(rational_from_poles([2j, -1 - 1.5j, 1 + 2j]), 1)
+        stacks = []
+        chain_chunks = moi._chain_chunks
+        monkeypatch.setattr(moi, "_chain_chunks", lambda factors, *a: stacks.append(len(factors[0])) or chain_chunks(factors, *a))
+        cores = moi._chain_cores(g, decs, slots, factors)
+        assert sorted(stacks) == [3, 3, 4]
+        for c, row in enumerate(slots):
+            (alone,) = moi._chain_cores(g, decs, [row], [a[c : c + 1] for a in factors])
+            assert np.max(np.abs(cores[c] - alone)) <= 1e-14 * np.max(np.abs(alone))
+
+    def test_distinct_spectra_skip_the_row_grouping(self, monkeypatch):
+        # unnormalized random operators share no eigenvalue, so no node row repeats
+        rng = np.random.default_rng(870)
+        Hs = [HermitianOperator(a + a.conj().T) for a in rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))]
+        Vs = [random_hermitian(rng_stream(870, k), 3, 0.8).entries for k in range(4)]
+        g = rational_from_poles([2j, -1 - 1.5j, 1 + 2j])
+        grouped = moi._group_rows
+        monkeypatch.setattr(moi, "_group_rows", lambda rows: pytest.fail("distinct node rows were grouped"))
+        exp = cov_expand(g, alternating_signature(4), Hs, Vs)
+        monkeypatch.setattr(moi, "_group_rows", grouped)
+        _assert_matches_per_term(exp, g, alternating_signature(4), Hs, Vs)
+
+    def test_one_group_batches_keep_no_row_cache(self, monkeypatch):
+        calls = []
+        contract = moi._contract_group
+        monkeypatch.setattr(moi, "_contract_group", lambda f, values, group, dedup, cache: calls.append((dedup, cache)) or contract(f, values, group, dedup, cache))
+        Hs, Vs = ops_and_args(880, 3, 3)
+        Hs[2] = Hs[0]  # a repeated operator: node rows repeat and are grouped
+        exp = cov_expand(rational_from_poles([2j, -1 - 1.5j, 1 + 2j]), alternating_signature(3), Hs, Vs)
+        assert calls and all(cache is None for _, cache in calls) and any(dedup for dedup, _ in calls)
+        _assert_matches_per_term(exp, rational_from_poles([2j, -1 - 1.5j, 1 + 2j]), alternating_signature(3), Hs, Vs)
 
     def test_over_budget_expansion_builds_no_chain(self, monkeypatch):
         def guarded(*args):

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from opshift import functions
 from opshift.errors import ValidationError
 from opshift.functions import (
     NODE_MERGE_RELTOL,
@@ -355,6 +356,90 @@ class TestDividedDifferenceRows:
         ):
             with pytest.raises(ValidationError):
                 divided_difference(f, np.array(fine + [bad]))
+
+
+class TestRationalResidueForm:
+    """Proper simple-pole rationals take the residue form; close poles, the
+    guard, multiple poles and improper rationals take the Opitz recurrence.
+    Every case is checked against the 60-digit recursion."""
+
+    @staticmethod
+    def _opitz_rows(monkeypatch):
+        rows = []
+        opitz = functions._opitz_divided_difference
+        monkeypatch.setattr(functions, "_opitz_divided_difference", lambda f, zs: rows.append(len(zs)) or opitz(f, zs))
+        return rows
+
+    @staticmethod
+    def _clustered_nodes(rng, count):
+        # as in test_rational_at_clustered_nodes_matches_mpmath: gaps down to 1e-7 stay unmerged
+        return rng.uniform(-1.0, 1.0) + np.concatenate([[0.0], np.cumsum(10.0 ** rng.uniform(-7.0, 0.0, count - 1))])
+
+    @staticmethod
+    def _assert_matches_mpmath(f, nodes):
+        ref = _mp_divided_difference(f, nodes)
+        assert abs(divided_difference(f, nodes[::-1]) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("weight", range(4))
+    @pytest.mark.parametrize("gap", [10.0**-k for k in range(1, 9)])
+    def test_close_conjugate_pairs_match_mpmath(self, gap, weight):
+        # a conjugate pair gap apart has residues of size 1/gap that cancel;
+        # the guard hands such rows to Opitz.  A second pair keeps u^3 proper.
+        rng = np.random.default_rng([round(-math.log10(gap)), weight])
+        close = complex(rng.uniform(-1.0, 1.0), 0.5 * gap)
+        other = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.6, 1.5))
+        f = weight_multiply(rational_from_poles([close, close.conjugate(), other, other.conjugate()]), weight)
+        for order in range(1, 6):
+            self._assert_matches_mpmath(f, self._clustered_nodes(rng, order + 1))
+
+    def test_well_separated_poles_take_the_residue_form(self, monkeypatch):
+        rows = self._opitz_rows(monkeypatch)
+        f = weight_multiply(rational_from_poles([0.3 + 0.9j, 0.3 - 0.9j, -1.1 + 1.4j, -1.1 - 1.4j]), 1)
+        rng = np.random.default_rng(5)
+        for order in range(1, 6):
+            self._assert_matches_mpmath(f, self._clustered_nodes(rng, order + 1))
+        assert rows == []
+
+    def test_a_double_pole_takes_opitz(self, monkeypatch):
+        rows = self._opitz_rows(monkeypatch)
+        f = rational_from_poles([0.3 + 0.9j, 0.3 + 0.9j, 0.3 - 0.9j, -0.5 - 1.2j])
+        nodes = self._clustered_nodes(np.random.default_rng(6), 5)
+        self._assert_matches_mpmath(f, nodes)
+        assert rows == [1]
+
+    @pytest.mark.parametrize("weight", [2, 3])
+    def test_an_improper_weighted_rational_takes_opitz(self, monkeypatch, weight):
+        rows = self._opitz_rows(monkeypatch)
+        f = weight_multiply(rational_from_poles([0.3 + 0.9j, 0.3 - 0.9j]), weight)  # decay 2 - weight <= 0
+        assert f.decay_order <= 0
+        self._assert_matches_mpmath(f, self._clustered_nodes(np.random.default_rng(7), 4))
+        assert rows == [1]
+
+    def test_a_constant_rational_takes_opitz(self, monkeypatch):
+        rows = self._opitz_rows(monkeypatch)
+        f = rational_from_poles([], scale=2.0)
+        assert divided_difference(f, [0.3]) == 2.0 and divided_difference(f, [0.3, 0.7]) == 0.0
+        assert rows == [1, 1]
+
+    def test_cancelling_rows_take_opitz(self, monkeypatch):
+        # far from six poles the terms r_j / prod (z_i - p_j) cancel to f[z] ~ |z|^-8
+        rows = self._opitz_rows(monkeypatch)
+        f = rational_from_poles([0.3 + 0.9j, 0.3 - 0.9j, -1.1 + 1.4j, -1.1 - 1.4j, 0.8 + 0.7j, 0.8 - 0.7j])
+        near, far = np.array([0.1, 0.2, 0.45]), np.array([11.0, 11.5, 12.25])
+        parts = functions._partial_fractions(f.factors, complex(f.scale))
+        assert parts is not None
+        got = divided_difference(f, np.array([near, far]))
+        assert rows == [1]  # the far row alone
+        for value, nodes in zip(got, (near, far)):
+            ref = _mp_divided_difference(f, nodes)
+            assert abs(value - ref) <= 1e-12 * abs(ref)
+
+    def test_a_row_does_not_depend_on_its_batch(self):
+        f = weight_multiply(rational_from_poles([0.3 + 0.9j, 0.3 - 0.9j, -1.1 + 1.4j, -1.1 - 1.4j, 1.7 + 0.6j, 1.7 - 0.6j]), 2)
+        rows = np.sort(np.random.default_rng(8).uniform(-3.0, 3.0, (700, 4)), axis=1)
+        rows[::7] = [11.0, 11.5, 12.25, 13.0]  # guarded rows among them
+        batch = divided_difference(f, rows)
+        assert [complex(v) for v in batch] == [divided_difference(f, row) for row in rows]
 
 
 class TestBumpDerivatives:

@@ -15,7 +15,7 @@ from opshift import (
     schatten_norm,
     spectral_decompose,
 )
-from opshift.ensembles import rng_stream
+from opshift.ensembles import random_hermitian, random_hermitians, rng_stream
 from opshift.functions import PolynomialFunction
 
 from conftest import hermitian
@@ -80,6 +80,46 @@ class TestSpectralDecompose:
     def test_dim_cap(self):
         with pytest.raises(ValidationError):
             HermitianOperator(np.eye(65))
+
+
+class TestNorm:
+    """The 2-norm from eigvalsh against numpy's SVD norm, to 4 ulp."""
+
+    SPECTRA = {
+        "clustered": [-0.3, 0.7, 0.7 + 1e-12, 0.7 + 2e-12, 0.7 + 3e-12],
+        "negative-dominant": [-2.5, -2.5 + 1e-9, -0.4, 0.1, 1.9],
+        "one-by-one": [-1.7],
+    }
+
+    @staticmethod
+    def _assert_4_ulp(got, matrix):
+        ref = np.linalg.norm(matrix, 2)
+        assert abs(got - ref) <= 4 * np.finfo(float).eps * ref
+
+    @pytest.mark.parametrize("kind", sorted(SPECTRA))
+    def test_operator_norm(self, kind):
+        eigs = np.array(self.SPECTRA[kind])
+        for seed in range(20):
+            rng = np.random.default_rng([seed, len(eigs)])
+            q, _ = np.linalg.qr(rng.standard_normal((len(eigs),) * 2) + 1j * rng.standard_normal((len(eigs),) * 2))
+            H = HermitianOperator((q * eigs) @ q.conj().T)
+            self._assert_4_ulp(H.norm(), H.entries)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 16])
+    def test_random_hermitian_norm(self, dim):
+        rng = rng_stream(dim, 9)
+        for norm in (1.0, 0.8, 2.5):
+            H = random_hermitian(rng, dim, norm)
+            self._assert_4_ulp(H.norm(), H.entries)
+            assert abs(H.norm() - norm) <= 8 * np.finfo(float).eps * norm
+
+    @pytest.mark.parametrize("dim", [1, 3, 16])
+    def test_batched_draws_equal_single_draws(self, dim):
+        for norm in (1.0, 0.0):
+            single, batched = rng_stream(dim, 10), rng_stream(dim, 10)
+            ones = [random_hermitian(single, dim, norm).entries for _ in range(4)]
+            assert all(np.array_equal(a, b.entries) for a, b in zip(ones, random_hermitians(batched, 4, dim, norm)))
+            assert single.random() == batched.random()
 
 
 class TestFuncCalculus:

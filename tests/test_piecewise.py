@@ -9,7 +9,8 @@ from opshift.cov import WeightedTraceMeasure, eigen_tuple_density
 from opshift.ensembles import random_hermitian, random_pair, rng_stream
 from opshift.errors import ValidationError
 from opshift.functions import GaussianFunction, PolynomialFunction, bump
-from opshift.piecewise import PiecewisePolynomial, integral_against_derivative, weighted_abs_integral
+from opshift import piecewise
+from opshift.piecewise import PiecewisePolynomial, integral_against_derivative, weighted_abs_integral, weighted_abs_integrals
 from opshift.ssf import remainder_pattern, ssf_compute
 
 
@@ -143,6 +144,33 @@ class TestWeightedAbsIntegral:
             )
             with pytest.raises(ValidationError):
                 weighted_abs_integral(pp, 10)
+
+
+    def test_several_weights_match_one_root_search_each(self, rng):
+        # the segments do not depend on the weight; each exponent keeps its own arithmetic
+        pp = random_pp(rng, degree=3)
+        pp = PiecewisePolynomial(pp.breakpoints, pp.coeffs, ((0.3, 0.25), (-1.2, -0.5j)))
+        weights = [3, 7, 10, 11]
+        alone = []
+        for w in weights:
+            total = piecewise._weighted_abs(pp, w)  # its own root search
+            for x, m in pp.atoms:
+                total += abs(complex(m)) * (1.0 + abs(x)) ** (-w)
+            alone.append(total)
+        assert weighted_abs_integrals(pp, weights) == alone
+        assert [weighted_abs_integral(pp, w) for w in weights] == alone
+
+
+class TestDistinct:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bit_for_bit_union1d_and_unique(self, seed):
+        r = np.random.default_rng(seed)
+        a = np.round(r.standard_normal(40), 1)
+        b = np.concatenate([a[:7], r.standard_normal(13), [0.0, -0.0, 1e-300, -1e-300]])
+        for got, ref in ((piecewise._distinct(a, b), np.union1d(a, b)), (piecewise._distinct(b), np.unique(b))):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+        assert piecewise._distinct(np.zeros(0), np.zeros(0)).shape == (0,)
 
 
 class TestAtomicMeasure:

@@ -9,7 +9,7 @@ from opshift.errors import ValidationError
 from opshift.functions import NODE_MERGE_RELTOL, GaussianFunction, PolynomialFunction, bump, rational_from_poles
 from opshift.linalg import HermitianOperator
 from opshift.moi import taylor_remainder
-from opshift.piecewise import PiecewisePolynomial
+from opshift.piecewise import PiecewisePolynomial, weighted_abs_integral
 from opshift.ssf import (
     ScalingReport,
     SpectralShiftDensity,
@@ -21,6 +21,7 @@ from opshift.ssf import (
     ssf_compute,
     uniqueness_fit,
     verify_trace_formula,
+    weight_exponent_survey,
     weighted_norm_and_scaling,
 )
 from reference import _ssf_counting
@@ -217,6 +218,23 @@ class TestWeightedNormAndScaling:
         rH = H.resolvent()
         dressed = schatten_norm(rH @ V.entries @ rH, 2)
         assert rep.rhs_factor == pytest.approx((1 + V.norm() ** 2) * V.norm() * dressed**2)
+
+
+class TestWeightExponentSurvey:
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    def test_matches_one_weighted_norm_per_weight_bit_for_bit(self, parity):
+        # the survey reuses each report's weighted_l1 and one root search per density
+        pairs = [random_pair(rng_stream(seed, 0), 3, 1.0, 0.3) for seed in (66, 67)]
+        pairs.append((pairs[0][0], HermitianOperator(np.zeros((3, 3)))))  # bound factor 0: skipped
+        reports = [weighted_norm_and_scaling(H, V, 2, parity) for H, V in pairs]
+        survey = weight_exponent_survey(reports)
+        assert survey["reference_exponent"] == reports[0].weight_exponent
+        for w, value in survey["weights"].items():
+            expect = 0.0
+            for rep in reports:
+                if rep.rhs_factor:
+                    expect = max(expect, weighted_abs_integral(rep.density, w) / rep.rhs_factor)
+            assert value == expect
 
 
 class TestUniquenessFit:
