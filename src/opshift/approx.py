@@ -88,51 +88,23 @@ class ConvergenceRow:
     triple_product_defects: tuple
 
 
-def _pick_v(choice, V, Vk):
-    if choice == "V":
-        return V.entries, V.entries
-    if choice == "Vk":
-        return Vk.entries, V.entries
-    if choice == "V-Vk":
-        return V.entries - Vk.entries, np.zeros_like(V.entries)
-    raise ValidationError(f"unknown V choice {choice!r}")
-
-
-def _pick_h(choice, H, V, Vk):
-    if choice == "H":
-        return H, H
-    if choice == "H+V":
-        return H + V, H + V
-    if choice == "H+Vk":
-        return H + Vk, H + V
-    raise ValidationError(f"unknown H choice {choice!r}")
-
-
-def convergence_report(H, V, seq: ApproximationSequence, n, choices=None):
+def convergence_report(H, V, seq: ApproximationSequence, n):
     """Per-window Schatten defects and triple-product limit defects.
 
-    ``choices`` is an iterable of (V-choice, H1-choice, H2-choice)
-    triples over {V, Vk, V-Vk} x {H, H+V, H+Vk}^2; each row reports the
-    Schatten-n distance between (H1-i)^-1 Vc (H2-i)^-1 and the product
-    of the individual limits.
+    Each row reports the Schatten-n distances of R(H+V_k) V_k R(H),
+    R(H+V_k) (V-V_k) R(H+V) and R(H+V_k) V R(H+V_k), R(X) = (X-i)^-1,
+    from their limits R(H+V) V R(H), 0 and R(H+V) V R(H+V).
     """
-    if choices is None:
-        choices = (("Vk", "H+Vk", "H"), ("V-Vk", "H+Vk", "H+V"), ("V", "H+Vk", "H+Vk"))
-    rH = H.resolvent()
-    target = rH @ V.entries @ rH
+    rH, rHV = H.resolvent(), (H + V).resolvent()
+    limits = (rHV @ V.entries @ rH, 0.0, rHV @ V.entries @ rHV)
     rows = []
     for vk, w, rank in zip(seq.terms, seq.windows, seq.ranks):
+        rHk = (H + vk).resolvent()
         s_defect = schatten_norm(rH @ (vk.entries - V.entries) @ rH, n)
-        r_defect = schatten_norm((H + vk).resolvent() - (H + V).resolvent(), n)
-        triple = []
-        for vc, h1c, h2c in choices:
-            vmat, vlim = _pick_v(vc, V, vk)
-            h1, h1lim = _pick_h(h1c, H, V, vk)
-            h2, h2lim = _pick_h(h2c, H, V, vk)
-            value = h1.resolvent() @ vmat @ h2.resolvent()
-            limit = h1lim.resolvent() @ vlim @ h2lim.resolvent()
-            triple.append(schatten_norm(value - limit, n))
-        rows.append(ConvergenceRow(w, rank, float(s_defect), float(r_defect), tuple(triple)))
+        r_defect = schatten_norm(rHk - rHV, n)
+        values = (rHk @ vk.entries @ rH, rHk @ (V.entries - vk.entries) @ rHV, rHk @ V.entries @ rHk)
+        triple = tuple(schatten_norm(value - limit, n) for value, limit in zip(values, limits))
+        rows.append(ConvergenceRow(w, rank, float(s_defect), float(r_defect), triple))
     return rows
 
 
@@ -158,6 +130,7 @@ def shift_density_convergence(H, V, seq: ApproximationSequence, m):
     eta = ssf_compute(H, V, m)
     dists = []
     for vk in seq.terms:
-        eta_k = ssf_compute(H, vk, m)
+        # a window past the spectrum keeps V itself (finite_rank_sequence)
+        eta_k = eta if vk is V else ssf_compute(H, vk, m)
         dists.append((eta.density - eta_k.density).l1_norm())
     return dists

@@ -26,7 +26,6 @@ slot, on which side resolvents are attached.  The machinery here covers
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -213,9 +212,6 @@ class ExpansionTerm:
     indices: tuple
     weight_power: int
     value: np.ndarray  # unsigned contribution
-    left_descriptor: str
-    inner_descriptors: tuple
-    right_descriptor: str
 
 
 @dataclass(frozen=True)
@@ -227,7 +223,6 @@ class CovExpansion:
     scale: float
 
 
-@functools.lru_cache(maxsize=None)
 def _product_descriptor(i, j):
     if j <= i:
         return "I"
@@ -295,10 +290,7 @@ def cov_expand(g: TestFunction, eps: EpsilonSignature, Hs, Vs) -> CovExpansion:
         # every term of order k carries the sign (-1)^(m-k)
         rhs = rhs + group[0][0] * values.sum(axis=0)
         stacked.append(values)
-        for (sign, _, power, combo), value in zip(group, values):
-            inner_desc = tuple(_product_descriptor(a, b) for a, b in zip(combo[:-1], combo[1:]))
-            left_desc, right_desc = _product_descriptor(0, combo[0]), _product_descriptor(combo[-1], m)
-            terms.append(ExpansionTerm(sign, k, combo, power, value, left_desc, inner_desc, right_desc))
+        terms += [ExpansionTerm(sign, k, combo, power, value) for (sign, _, power, combo), value in zip(group, values)]
     # spectral norms of lhs - rhs, lhs and every term from one stacked call;
     # the term norms are added in order (sum() compensates from Python 3.12)
     residual, lhs_norm, *norms = np.linalg.svd(np.concatenate([np.stack([lhs - rhs, lhs])] + stacked), compute_uv=False).max(axis=-1).tolist()
@@ -669,18 +661,21 @@ def _hull(Hs):
 
 
 def expansion_terms_json(expansion: CovExpansion) -> str:
-    """Expansion-term dump: sign, indices, weight power, slot descriptors."""
+    """Expansion-term dump: sign, indices, weight power, and the products
+    around each core, "I" or "V(i+1,...,j)" for checked[i+1..j]."""
+    m = max(t.indices[-1] for t in expansion.terms)  # the k = m term is (0, ..., m)
     rows = []
     for t in expansion.terms:
+        ix = t.indices
         rows.append(
             {
                 "sign": t.sign,
                 "k": t.k,
-                "indices": list(t.indices),
+                "indices": list(ix),
                 "weight_power": t.weight_power,
-                "left": t.left_descriptor,
-                "inner": list(t.inner_descriptors),
-                "right": t.right_descriptor,
+                "left": _product_descriptor(0, ix[0]),
+                "inner": [_product_descriptor(a, b) for a, b in zip(ix[:-1], ix[1:])],
+                "right": _product_descriptor(ix[-1], m),
             }
         )
     return json.dumps(rows, sort_keys=True, separators=(",", ":"))

@@ -70,7 +70,6 @@ class TestFunction:
     """Base class; subclasses provide exact derivatives of all orders."""
 
     kind = "abstract"
-    weight_power = 0
     # smoothness: largest m with f in C^m globally (math.inf when smooth)
     smoothness = math.inf
     # decay_order d: f(x) = O(|x|^-d); None means faster than any power
@@ -112,7 +111,6 @@ class RationalFunction(TestFunction):
 
     factors: tuple  # ((z, m), ...), m != 0
     scale: complex = 1.0
-    weight_power: int = 0
 
     kind = "rational"
 
@@ -155,21 +153,21 @@ class RationalFunction(TestFunction):
     def times_u(self, power=1):
         if power == 0:
             return self
-        return self._times_factor(_U_ROOT, -power, weight_bump=power)
+        return self._times_factor(_U_ROOT, -power)
 
-    def _times_factor(self, z, m, weight_bump=0):
+    def _times_factor(self, z, m):
         fac = dict()
         for zz, mm in self.factors:
             fac[complex(zz)] = fac.get(complex(zz), 0) + mm
         fac[complex(z)] = fac.get(complex(z), 0) + m
         factors = tuple((zz, mm) for zz, mm in sorted(fac.items(), key=lambda t: (t[0].real, t[0].imag)) if mm != 0)
-        return RationalFunction(factors, self.scale, self.weight_power + weight_bump)
+        return RationalFunction(factors, self.scale)
 
     def multiply(self, other: "RationalFunction"):
         out = self
         for z, m in other.factors:
             out = out._times_factor(z, m)
-        return RationalFunction(out.factors, out.scale * other.scale, self.weight_power + other.weight_power)
+        return RationalFunction(out.factors, out.scale * other.scale)
 
 
 def rational_from_poles(poles, scale=1.0):
@@ -188,7 +186,6 @@ class GaussianFunction(TestFunction):
     center: float = 0.0
     width: float = 1.0
     prefactor: tuple = (1.0,)  # ascending coefficients in (x - center)
-    weight_power: int = 0
 
     kind = "gaussian"
     decay_order = None
@@ -213,7 +210,7 @@ class GaussianFunction(TestFunction):
         for _ in range(power):
             # u(x) = (x - center) + (center - i) in the local variable
             q = _polymul(q, [self.center - 1j, 1.0])
-        return GaussianFunction(self.center, self.width, tuple(q), self.weight_power + power)
+        return GaussianFunction(self.center, self.width, tuple(q))
 
 
 @dataclass(frozen=True)
@@ -228,7 +225,6 @@ class BumpFunction(TestFunction):
     b: float
     smoothness: int = 4
     prefactor: tuple = (1.0,)  # ascending coefficients in (x - (a+b)/2)
-    weight_power: int = 0
 
     kind = "bump"
     decay_order = None
@@ -274,7 +270,7 @@ class BumpFunction(TestFunction):
         mid = 0.5 * (self.a + self.b)
         for _ in range(power):
             q = _polymul(q, [mid - 1j, 1.0])
-        return BumpFunction(self.a, self.b, self.smoothness, tuple(q), self.weight_power + power)
+        return BumpFunction(self.a, self.b, self.smoothness, tuple(q))
 
 
 def bump(a, b, smoothness=4, prefactor=None):
@@ -290,7 +286,6 @@ class PolynomialFunction(TestFunction):
     """Plain polynomial with ascending coefficients."""
 
     coefficients: tuple
-    weight_power: int = 0
 
     kind = "polynomial"
 
@@ -315,13 +310,13 @@ class PolynomialFunction(TestFunction):
         c = np.asarray(self.coefficients, dtype=complex)
         for _ in range(power):
             c = _polymul(c, [-1j, 1.0])
-        return PolynomialFunction(tuple(c), self.weight_power + power)
+        return PolynomialFunction(tuple(c))
 
 
 @lru_cache(maxsize=32)
 def weight_multiply(f: TestFunction, power: int) -> TestFunction:
-    """Multiply f by u^power, u(x) = x - i, tracking the weight bookkeeping;
-    cached, since an expansion asks for the same few powers of one f."""
+    """Multiply f by u^power, u(x) = x - i; cached, since an expansion
+    asks for the same few powers of one f."""
     if power < 0:
         raise ValidationError("weight power must be nonnegative")
     if power == 0:

@@ -191,14 +191,10 @@ def _chain_cores(f, decs, slots, factors, clusters=None):
     contracted as one stacked array, as many at a time as the chunk bound
     below allows.  The chunks of all stacks are contracted in groups, each
     closed by the chunk that brings it to ``_CYCLE_CHUNK // (16 (p+1))``
-    entries, with one :func:`divided_difference` call per group.  When
-    the eigenvalues of ``decs`` are distinct and unclustered and the
-    chains run over distinct sets of distinct operators, a node multiset
-    names its chain's operators and one eigenvector column of each, so no
-    row repeats and the rows go to that call as they are.  Otherwise each
-    group's distinct rows are taken once; a batch that closes in one group
-    takes their values straight from the call, a longer one caches them
-    across its groups.  Callers check the budget first."""
+    entries, with one :func:`divided_difference` call per group over its
+    distinct rows.  A batch that closes in one group takes their values
+    straight from the call, a longer one caches them across its groups.
+    Callers check the budget first."""
     slots = np.asarray(slots)
     p = slots.shape[1] - 1
     # chunks 16(p+1) times smaller: each entry carries p+1 node codes through sorted copies
@@ -209,12 +205,9 @@ def _chain_cores(f, decs, slots, factors, clusters=None):
     table = np.zeros((len(decs), K + dim), dtype=np.int32)
     for row, c, d in zip(table, codes, decs):
         row[: len(c)], row[K:] = c, c[d.labels]
-    chains = slots.tolist()
-    # a chain over a repeated operator, or two chains over one set of operators, can repeat rows
-    dedup = len(values) < dim * len(decs) or len({frozenset(c) for c in chains if len(set(c)) == p + 1}) < len(chains)
     shapes = [s.tobytes() for s in starts]
     stacks = {}
-    for c, row in enumerate(chains):
+    for c, row in enumerate(slots.tolist()):
         stacks.setdefault(tuple(shapes[k] for k in row), []).append(c)
     cores = np.zeros((len(slots), dim, dim), dtype=complex)
     cache, group, size, outs = None, [], 0, []
@@ -237,36 +230,31 @@ def _chain_cores(f, decs, slots, factors, clusters=None):
                 size += chain.size
                 # a group is contracted once it reaches the bound, before the next chunk is built
                 if size >= _CYCLE_CHUNK // per_entry:
-                    cache = {} if dedup and cache is None else cache
-                    _contract_group(f, values, group, dedup, cache)
+                    cache = {} if cache is None else cache
+                    _contract_group(f, values, group, cache)
                     group, size = [], 0
     if group:
-        _contract_group(f, values, group, dedup, cache)
+        _contract_group(f, values, group, cache)
     for idx, out in outs:
         cores[idx] = out
     return cores
 
 
-def _contract_group(f, values, group, dedup, cache):
+def _contract_group(f, values, group, cache):
     """Each (core rows, stacked chain, nonzero entries, node-code rows) of a
     group: the chain weighted by f^[p] at each entry's nodes, summed over
     its inner axes, from one :func:`divided_difference` call over the
-    group's rows, its distinct rows with ``dedup``, or those of them not
-    yet in ``cache`` when one is given (a row's value does not depend on
-    the rest of its call)."""
-    rows = np.concatenate([rows for *_, rows in group])
-    if not dedup:
-        vals = divided_difference(f, values[rows])
+    group's distinct rows, or those of them not yet in ``cache`` when one
+    is given (a row's value does not depend on the rest of its call)."""
+    keys, which = _group_rows(np.concatenate([rows for *_, rows in group]))
+    if cache is None:
+        vals = divided_difference(f, values[keys])[which]
     else:
-        keys, which = _group_rows(rows)
-        if cache is None:
-            vals = divided_difference(f, values[keys])[which]
-        else:
-            rows = list(map(tuple, keys.tolist()))
-            fresh = [i for i, row in enumerate(rows) if row not in cache]
-            if fresh:
-                cache.update(zip([rows[i] for i in fresh], divided_difference(f, values[keys[fresh]])))
-            vals = np.array([cache[row] for row in rows])[which]
+        rows = list(map(tuple, keys.tolist()))
+        fresh = [i for i, row in enumerate(rows) if row not in cache]
+        if fresh:
+            cache.update(zip([rows[i] for i in fresh], divided_difference(f, values[keys[fresh]])))
+        vals = np.array([cache[row] for row in rows])[which]
     at = 0
     for out, chain, hit, _ in group:
         if len(hit) == chain.size:

@@ -240,16 +240,14 @@ def weight_exponent_survey(reports):
     return {"weights": worst, "reference_exponent": w_ref, "smallest_stable_exponent": smallest}
 
 
-def weighted_norm_and_scaling(H, V, n, parity, t_count=9) -> ScalingReport:
+def weighted_norm_and_scaling(H, V, n, parity) -> ScalingReport:
     """Weighted L1 norm of eta_m, the bound's right-hand factor, and the
     fitted log-log slope of the norm under V -> tV, t = 1, 1/2, ..., 2^-8."""
     m, w = _orders_for(n, parity)
-    if t_count < 2:
-        raise ValidationError("the scaling slope needs t_count >= 2")
     eta = ssf_compute(H, V, m)
     weighted = weighted_abs_integral(eta.density, w)
     rhs = _bound_factor(H, V, n, parity)
-    ts = [2.0 ** (-j) for j in range(t_count)]
+    ts = [2.0 ** (-j) for j in range(9)]
     values = []
     for t in ts:
         if t == 1.0:

@@ -200,6 +200,47 @@ class TestOperatorExpansion:
         assert len(dump) == len(exp.terms)
         assert {"sign", "indices", "weight_power"} <= set(dump[0])
 
+    @pytest.mark.parametrize(
+        "word, dump",
+        [
+            (
+                ("R", "L", "R", "L"),
+                '[{"indices":[0],"inner":[],"k":0,"left":"I","right":"V(1,2,3)","sign":-1,"weight_power":1},'
+                '{"indices":[1],"inner":[],"k":0,"left":"V(1)","right":"V(2,3)","sign":-1,"weight_power":1},'
+                '{"indices":[2],"inner":[],"k":0,"left":"V(1,2)","right":"V(3)","sign":-1,"weight_power":1},'
+                '{"indices":[3],"inner":[],"k":0,"left":"V(1,2,3)","right":"I","sign":-1,"weight_power":1},'
+                '{"indices":[0,1],"inner":["V(1)"],"k":1,"left":"I","right":"V(2,3)","sign":1,"weight_power":2},'
+                '{"indices":[0,2],"inner":["V(1,2)"],"k":1,"left":"I","right":"V(3)","sign":1,"weight_power":2},'
+                '{"indices":[0,3],"inner":["V(1,2,3)"],"k":1,"left":"I","right":"I","sign":1,"weight_power":2},'
+                '{"indices":[1,2],"inner":["V(2)"],"k":1,"left":"V(1)","right":"V(3)","sign":1,"weight_power":2},'
+                '{"indices":[1,3],"inner":["V(2,3)"],"k":1,"left":"V(1)","right":"I","sign":1,"weight_power":2},'
+                '{"indices":[2,3],"inner":["V(3)"],"k":1,"left":"V(1,2)","right":"I","sign":1,"weight_power":2},'
+                '{"indices":[0,1,2],"inner":["V(1)","V(2)"],"k":2,"left":"I","right":"V(3)","sign":-1,"weight_power":3},'
+                '{"indices":[0,1,3],"inner":["V(1)","V(2,3)"],"k":2,"left":"I","right":"I","sign":-1,"weight_power":3},'
+                '{"indices":[0,2,3],"inner":["V(1,2)","V(3)"],"k":2,"left":"I","right":"I","sign":-1,"weight_power":3},'
+                '{"indices":[1,2,3],"inner":["V(2)","V(3)"],"k":2,"left":"V(1)","right":"I","sign":-1,"weight_power":3},'
+                '{"indices":[0,1,2,3],"inner":["V(1)","V(2)","V(3)"],"k":3,"left":"I","right":"I","sign":1,"weight_power":4}]'
+            ),
+            (
+                ("R", "0", "L", "L"),
+                '[{"indices":[1],"inner":[],"k":0,"left":"V(1)","right":"V(2,3)","sign":-1,"weight_power":0},'
+                '{"indices":[0,1],"inner":["V(1)"],"k":1,"left":"I","right":"V(2,3)","sign":1,"weight_power":1},'
+                '{"indices":[1,2],"inner":["V(2)"],"k":1,"left":"V(1)","right":"V(3)","sign":1,"weight_power":1},'
+                '{"indices":[1,3],"inner":["V(2,3)"],"k":1,"left":"V(1)","right":"I","sign":1,"weight_power":1},'
+                '{"indices":[0,1,2],"inner":["V(1)","V(2)"],"k":2,"left":"I","right":"V(3)","sign":-1,"weight_power":2},'
+                '{"indices":[0,1,3],"inner":["V(1)","V(2,3)"],"k":2,"left":"I","right":"I","sign":-1,"weight_power":2},'
+                '{"indices":[1,2,3],"inner":["V(2)","V(3)"],"k":2,"left":"V(1)","right":"I","sign":-1,"weight_power":2},'
+                '{"indices":[0,1,2,3],"inner":["V(1)","V(2)","V(3)"],"k":3,"left":"I","right":"I","sign":1,"weight_power":3}]'
+            ),
+        ],
+        ids=["alternating", "zero-letter"],
+    )
+    def test_term_dump_strings(self, word, dump):
+        # the dump names no values, so any operators of the right count give it
+        Hs, Vs = ops_and_args(23, 2, 3)
+        exp = cov_expand(rational_from_poles([2j, -1 - 1j]), EpsilonSignature(word), Hs, Vs)
+        assert expansion_terms_json(exp) == dump
+
 
 def _parity_table(m):
     """The alternating expansion's terms written out per parity: odd m takes
@@ -744,26 +785,22 @@ class TestOnePassExpansion:
             (alone,) = moi._chain_cores(g, decs, [row], [a[c : c + 1] for a in factors])
             assert np.max(np.abs(cores[c] - alone)) <= 1e-14 * np.max(np.abs(alone))
 
-    def test_distinct_spectra_skip_the_row_grouping(self, monkeypatch):
+    def test_distinct_spectra_match_per_term(self):
         # unnormalized random operators share no eigenvalue, so no node row repeats
         rng = np.random.default_rng(870)
         Hs = [HermitianOperator(a + a.conj().T) for a in rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))]
         Vs = [random_hermitian(rng_stream(870, k), 3, 0.8).entries for k in range(4)]
         g = rational_from_poles([2j, -1 - 1.5j, 1 + 2j])
-        grouped = moi._group_rows
-        monkeypatch.setattr(moi, "_group_rows", lambda rows: pytest.fail("distinct node rows were grouped"))
-        exp = cov_expand(g, alternating_signature(4), Hs, Vs)
-        monkeypatch.setattr(moi, "_group_rows", grouped)
-        _assert_matches_per_term(exp, g, alternating_signature(4), Hs, Vs)
+        _assert_matches_per_term(cov_expand(g, alternating_signature(4), Hs, Vs), g, alternating_signature(4), Hs, Vs)
 
     def test_one_group_batches_keep_no_row_cache(self, monkeypatch):
         calls = []
         contract = moi._contract_group
-        monkeypatch.setattr(moi, "_contract_group", lambda f, values, group, dedup, cache: calls.append((dedup, cache)) or contract(f, values, group, dedup, cache))
+        monkeypatch.setattr(moi, "_contract_group", lambda f, values, group, cache: calls.append(cache) or contract(f, values, group, cache))
         Hs, Vs = ops_and_args(880, 3, 3)
         Hs[2] = Hs[0]  # a repeated operator: node rows repeat and are grouped
         exp = cov_expand(rational_from_poles([2j, -1 - 1.5j, 1 + 2j]), alternating_signature(3), Hs, Vs)
-        assert calls and all(cache is None for _, cache in calls) and any(dedup for dedup, _ in calls)
+        assert calls and all(cache is None for cache in calls)
         _assert_matches_per_term(exp, rational_from_poles([2j, -1 - 1.5j, 1 + 2j]), alternating_signature(3), Hs, Vs)
 
     def test_over_budget_expansion_builds_no_chain(self, monkeypatch):

@@ -180,11 +180,6 @@ class TestWeightedNormAndScaling:
         else:
             assert rep.small_t_slope() == pytest.approx(3.0)
 
-    def test_single_scale_rejected(self):
-        H, V = random_pair(rng_stream(60, 0), 2, 1.0, 0.3)
-        with pytest.raises(ValidationError):
-            weighted_norm_and_scaling(H, V, 2, "odd", t_count=1)
-
     def test_scalar_exact_scaling(self):
         # 1x1: weighted norm = t^m * C(t) with C -> 1/((m-1)! * m) as t -> 0,
         # so small-t secant slopes approach m
