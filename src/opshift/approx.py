@@ -21,7 +21,8 @@ from .linalg import HermitianOperator, schatten_norm
 from .cov import remainder_traces
 # taylor_remainder stays importable here: bench/tracing.py patches it at this import site
 from .moi import taylor_remainder  # noqa: F401
-from .ssf import ssf_compute
+# ssf_compute stays importable here: bench/tracing.py patches it at this import site
+from .ssf import shift_densities, ssf_compute  # noqa: F401
 
 __all__ = [
     "ApproximationSequence",
@@ -126,11 +127,10 @@ def remainder_sup_experiment(H, V, seq: ApproximationSequence, m, bump_family):
 
 
 def shift_density_convergence(H, V, seq: ApproximationSequence, m):
-    """L1 distance on the spectral hull between eta_m(H, V_k) and eta_m(H, V)."""
-    eta = ssf_compute(H, V, m)
-    dists = []
-    for vk in seq.terms:
-        # a window past the spectrum keeps V itself (finite_rank_sequence)
-        eta_k = eta if vk is V else ssf_compute(H, vk, m)
-        dists.append((eta.density - eta_k.density).l1_norm())
-    return dists
+    """L1 distance on the spectral hull between eta_m(H, V_k) and eta_m(H, V),
+    with every density from one stacked pass (:func:`opshift.ssf.shift_densities`)."""
+    # a window past the spectrum keeps V itself (finite_rank_sequence)
+    fresh = [vk for vk in seq.terms if vk is not V]
+    eta, *etas = shift_densities(H, [V] + fresh, m)
+    etas = iter(etas)
+    return [(eta.density - (eta if vk is V else next(etas)).density).l1_norm() for vk in seq.terms]

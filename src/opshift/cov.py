@@ -35,8 +35,8 @@ import numpy as np
 from .errors import ValidationError
 from .functions import TestFunction, _bspline_levels, _merge_rows, divided_difference, peano_kernel, weight_multiply
 from .linalg import HermitianOperator, _check_poles_off, schatten_norm
-from .moi import MoiSymbol, OperatorTuple, _chain_chunks, _chain_cores, _cluster_codes, _cluster_sum, _eigenbasis_factors, _group_rows, check_tuple_budget, moi_eval
-from .piecewise import PiecewisePolynomial, _distinct, _weighted_modulus, integral_against_derivative
+from .moi import _CYCLE_CHUNK, MoiSymbol, OperatorTuple, _chain_chunks, _chain_cores, _chain_fit, _cluster_codes, _cluster_sum, _eigenbasis_factors, _group_rows, check_tuple_budget, moi_eval
+from .piecewise import PiecewisePolynomial, _distinct, _joined, _weighted_modulus, integral_against_derivative
 
 __all__ = [
     "EpsilonSignature",
@@ -55,6 +55,7 @@ __all__ = [
     "basic_change_of_variables",
     "pJ_alpha",
     "eigen_tuple_density",
+    "eigen_tuple_densities",
     "kernel_sum_density",
     "trace_via_measure",
     "remainder_traces",
@@ -62,6 +63,10 @@ __all__ = [
 ]
 
 _U_INV = lambda lam: 1.0 / (lam - 1j)
+
+
+def _as_matrix(u):
+    return np.asarray(u.entries if isinstance(u, HermitianOperator) else u, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -117,7 +122,7 @@ def build_check_operators(eps: EpsilonSignature, Hs, Us):
         raise ValidationError("signature, operators and arguments must have equal length")
     out = []
     for j, u in enumerate(Us):
-        u = np.asarray(u.entries if isinstance(u, HermitianOperator) else u, dtype=complex)
+        u = _as_matrix(u)
         left = eps[j - 1] == "R" if j >= 1 else False
         right = eps[j] == "L"
         if left:
@@ -261,7 +266,7 @@ def cov_expand(g: TestFunction, eps: EpsilonSignature, Hs, Vs) -> CovExpansion:
     if len(Hs) != m + 1 or len(eps) != m + 1:
         raise ValidationError("need m+1 operators and a length-m+1 signature")
     dim = Hs[0].dim
-    args = [np.asarray(v.entries if isinstance(v, HermitianOperator) else v, dtype=complex) for v in Vs]
+    args = [_as_matrix(v) for v in Vs]
     # checks the poles of g and the budget: every term's tuples are a subset of these
     lhs = moi_eval(MoiSymbol(g, 0, m), OperatorTuple(tuple(Hs), tuple(args)))
     decs = [h.decomposition() for h in Hs]
@@ -380,7 +385,7 @@ def pJ_alpha(Us, Hs, J, alphas, n: int) -> BoundReport:
         inv += 0.0 if np.isinf(a) else 1.0 / a
     if abs(inv - 1.0) > 1e-12:
         raise ValidationError("exponents must satisfy sum 1/alpha_j = 1")
-    mats = [np.asarray(u.entries if isinstance(u, HermitianOperator) else u, dtype=complex) for u in Us]
+    mats = [_as_matrix(u) for u in Us]
     r = len(J) / (n + len(J))
     op_factor = math.prod(schatten_norm(u, np.inf) ** r for u in mats)
     res_factors = {}
@@ -465,14 +470,39 @@ def eigen_tuple_density(U0, Us, Hs):
 
         Tr(U_0 T_{g^[m]}(U_1..U_m)) = integral of g^(m) * rho.
 
-    The weights of all eigenvalue-cluster tuples come from one cycle
-    product in the eigenbases (:func:`_tuple_weights`), which raises
-    ``BudgetError`` before any work on over-budget enumerations.  They are
-    grouped by node multiset, and the kernels of all multisets are folded
-    in one array pass (:func:`_fold_kernels`).
+    The batch of one of :func:`eigen_tuple_densities`: the weights of all
+    eigenvalue-cluster tuples come from one cycle product in the eigenbases
+    (:func:`_tuple_weights`), which raises ``BudgetError`` before any work
+    on over-budget enumerations.  They are grouped by node multiset, and
+    the kernels of all multisets are folded in one array pass
+    (:func:`_fold_kernels`).
     Returns (density, total_kernel_weight).
     """
-    return _fold_kernels(*_tuple_weights(U0, Us, Hs), len(Us), _hull(Hs))
+    (out,) = eigen_tuple_densities([(U0, Us, Hs)])
+    return out
+
+
+def eigen_tuple_densities(members):
+    """:func:`eigen_tuple_density` of every member (U_0, Us, Hs) of one
+    order, from one stacked pass over a family of perturbations.
+
+    Every member's budget is checked before any work.  The members are then
+    taken in runs whose cluster tuples add up to at most ``_CYCLE_CHUNK``
+    (or one member that alone has more), and each run's weights are folded
+    before the next run's are built, so the node rows held at once stay at
+    the size of one chunk or of one member.  Returns one (density,
+    total_kernel_weight) per member.
+    """
+    members = list(members)
+    sizes = [math.prod(len(d.eigenvalues) for d in check_tuple_budget(Hs)) for _, _, Hs in members]
+    runs, total = [], _CYCLE_CHUNK
+    for member, size in zip(members, sizes):
+        if total + size > _CYCLE_CHUNK:
+            runs.append([])
+            total = 0
+        runs[-1].append(member)
+        total += size
+    return [out for run in runs for out in _fold_kernels(*_tuple_weights(run), len(run[0][1]), [_hull(Hs) for _, _, Hs in run])]
 
 
 def kernel_sum_density(U0, Us, Hs):
@@ -481,44 +511,71 @@ def kernel_sum_density(U0, Us, Hs):
     ``PiecewisePolynomial.__add__``.  Exact but one refinement per kernel;
     the ``ssf`` suite checks the array fold against it.
     Returns (density, total_kernel_weight)."""
-    return _sum_kernels(*_tuple_weights(U0, Us, Hs), len(Us), _hull(Hs))
+    nodes, weights, _ = _tuple_weights([(U0, Us, Hs)])
+    return _sum_kernels(nodes, weights, len(Us), _hull(Hs))
 
 
-def _tuple_weights(U0, Us, Hs):
-    """Tr(U_0 P_{j0} U_1 ... U_m P_{jm}) summed by sorted node multiset: each
-    open chain of :func:`opshift.moi._chain_chunks` closed by Z[i_m,i_0],
+def _tuple_weights(members):
+    """Tr(U_0 P_{j0} U_1 ... U_m P_{jm}) summed by sorted node multiset, for
+    every member (U_0, [U_1..U_m], [H_0..H_m]) of one order m: each open
+    chain of :func:`opshift.moi._chain_chunks` closed by Z[i_m,i_0],
     Z = X_m^* U_0 X_0, with i_m and i_0 summed into their clusters.  On the
     remainder pattern (H_m is H_0, U_0 = I) Z is exactly I, so only the
-    cycles j_m = j_0 carry weight.  Returns (nodes, weights): the distinct
-    sorted node rows, shape (kernels, m+1), ascending, and their summed
-    complex weights; cluster tuples of weight exactly 0 are left out."""
-    m = len(Us)
-    if len(Hs) != m + 1:
-        raise ValidationError("need m+1 operators")
-    mats = [np.asarray(u.entries if isinstance(u, HermitianOperator) else u, dtype=complex) for u in Us]
-    u0 = np.asarray(U0.entries if isinstance(U0, HermitianOperator) else U0, dtype=complex)
-    decs = check_tuple_budget(Hs)
-    starts, values, codes = _cluster_codes(decs)
-    dim = len(u0)
-    remainder = Hs[-1] is Hs[0] and np.array_equal(u0, np.eye(dim))
-    closing = np.eye(dim, dtype=complex) if remainder else decs[-1].eigenvectors.conj().T @ u0 @ decs[0].eigenvectors
+    cycles j_m = j_0 carry weight.
+
+    Members whose operators have equal cluster starts slot by slot are
+    contracted as one stacked array, as many at a time as the chunk bound
+    allows (at least one).  Each member's node codes are offset past those
+    of the members before it, so one row grouping keeps the members apart.
+    Returns (nodes, weights, owner): the distinct sorted node rows, shape
+    (kernels, m+1), ascending within each member and in member order, their
+    summed complex weights, and each row's member; cluster tuples of weight
+    exactly 0 are left out.  Every member's budget is checked before any
+    contraction."""
+    m = len(members[0][1])
+    stacks, offsets, values = {}, [], []
+    for U0, Us, Hs in members:
+        if len(Us) != m or len(Hs) != m + 1:
+            raise ValidationError("need m+1 operators, and one order for every member")
+        u0, decs = _as_matrix(U0), check_tuple_budget(Hs)
+        starts, vals, codes = _cluster_codes(decs)
+        dim, offset = len(u0), sum(map(len, values))
+        remainder = Hs[-1] is Hs[0] and np.array_equal(u0, np.eye(dim))
+        closing = np.eye(dim, dtype=complex) if remainder else decs[-1].eigenvectors.conj().T @ u0 @ decs[0].eigenvectors
+        stack = stacks.setdefault((dim,) + tuple(s.tobytes() for s in starts), (starts, decs[0].labels, []))
+        stack[2].append((_eigenbasis_factors(decs, [_as_matrix(u) for u in Us]), [closing], [c + offset for c in codes] if offset else codes))
+        offsets.append(offset)
+        values.append(vals)
     groups = []
-    for lo, hi, chain in _chain_chunks(_eigenbasis_factors(decs, mats), starts, dim, 1):
-        if m:
-            close = closing.T[lo:hi].reshape((hi - lo,) + (1,) * (m - 1) + (dim,))
-            block = _cluster_sum(chain * close, starts[m], -1)
-        else:
-            block = np.diagonal(closing)[lo:hi]
-        block = _cluster_sum(block, starts[0][(starts[0] >= lo) & (starts[0] < hi)] - lo, 0)
-        hit = np.nonzero(block)
-        rows = np.stack([codes[0][decs[0].labels[lo] + hit[0]]] + [codes[k][hit[k]] for k in range(1, m + 1)], axis=1)
-        keys, group = _group_rows(rows)
-        groups.append((keys, _group_sums(group, block[hit], len(keys))))
+    for starts, labels, batch in stacks.values():
+        dim = len(labels)
+        fit = _chain_fit(starts, dim, 1)
+        for first in range(0, len(batch), max(1, fit)):
+            sub = batch[first : first + max(1, fit)]
+            # per slot, the members' factors, closing factors and node codes, stacked
+            factors, (closing,), table = ([_stacked(a) for a in zip(*part)] for part in zip(*sub))
+            for lo, hi, chain in _chain_chunks(factors, starts, dim, 1, fit // len(sub)):
+                if m:
+                    close = closing.transpose(0, 2, 1)[:, lo:hi].reshape((len(sub), hi - lo) + (1,) * (m - 1) + (dim,))
+                    block = _cluster_sum(chain * close, starts[m], -1)
+                else:
+                    block = np.diagonal(closing, axis1=1, axis2=2)[:, lo:hi]
+                block = _cluster_sum(block, starts[0][(starts[0] >= lo) & (starts[0] < hi)] - lo, 1)
+                hit = np.nonzero(block)  # (member, j_0 - first cluster of the chunk, j_1, ..., j_m)
+                rows = np.stack([table[0][hit[0], labels[lo] + hit[1]]] + [table[k][hit[0], hit[k + 1]] for k in range(1, m + 1)], axis=1)
+                keys, group = _group_rows(rows)
+                groups.append((keys, _group_sums(group, block[hit], len(keys))))
     keys, weights = groups[0]
     if len(groups) > 1:
         keys, group = _group_rows(np.concatenate([k for k, _ in groups]))
         weights = _group_sums(group, np.concatenate([w for _, w in groups]), len(keys))
-    return values[keys], weights
+    owner = np.searchsorted(offsets, keys[:, 0], side="right") - 1 if len(values) > 1 else np.zeros(len(keys), dtype=int)
+    return _joined(values)[keys], weights, owner
+
+
+def _stacked(arrays):
+    """``np.stack`` of the arrays; one array gets its leading axis as a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _group_sums(group, weights, count):
@@ -534,33 +591,31 @@ def remainder_traces(fs, H: HermitianOperator, Vs, m: int) -> np.ndarray:
     every V in Vs (rows) and f in fs (columns).
 
     The traces are linear in f with weights that depend on (H, V, k) only:
-    each (V, k) builds its closed-cycle weights once, by
-    :func:`_tuple_weights` on the all-H pattern (the closing factor is I),
-    with the multiplicities of H + V's clusters for Tr f(H+V); each (f, k)
-    takes one divided difference over the node rows of every V.  The
-    subtraction keeps the round-off of Tr f(H+V), about 1e-16 of
-    sum |f(lambda_j)| at any size of V; the remainder integral of
+    each order k builds the closed-cycle weights of every V in one stacked
+    :func:`_tuple_weights` pass on the all-H pattern (the closing factor is
+    I), order 0 with the multiplicities of every H + V's clusters for
+    Tr f(H+V); each (f, k) takes one divided difference over the node rows
+    of every V.  The subtraction keeps the round-off of Tr f(H+V), about
+    1e-16 of sum |f(lambda_j)| at any size of V; the remainder integral of
     :mod:`opshift.ssf` and ``taylor_remainder(method="moi")`` avoid it.
     """
     if m < 1:
         raise ValidationError("remainder order must be at least 1")
     eye = np.eye(H.dim, dtype=complex)
-    mats = [np.asarray(v.entries if isinstance(v, HermitianOperator) else v, dtype=complex) for v in Vs]
+    mats = [_as_matrix(v) for v in Vs]
     sums = [HermitianOperator(H.entries + v) for v in mats]
     spectra = np.concatenate([h.decomposition().eigenvalues for h in [H] + sums])
-    # per order k: (node rows, signed weights, row of Vs) over every V
-    parts = [[] for _ in range(m)]
-    for i, (v, hv) in enumerate(zip(mats, sums)):
-        parts[0].append((*_tuple_weights(eye, [], [hv]), i))
-        for k in range(m):
-            nodes, weights = _tuple_weights(eye, [v] * k, [H] * (k + 1))
-            parts[k].append((nodes, -weights, i))
+    # per order k: (node rows, signed weights, row of Vs) over every V; order 0
+    # takes Tr f(H+V) from the clusters of every H + V, less Tr f(H), in one call
+    nodes, weights, owner = _tuple_weights([(eye, [], [h]) for h in sums + [H] * len(mats)])
+    parts = [(nodes, np.where(owner < len(mats), weights, -weights), owner % len(mats))]
+    for k in range(1, m):
+        nodes, weights, owner = _tuple_weights([(eye, [v] * k, [H] * (k + 1)) for v in mats])
+        parts.append((nodes, -weights, owner))
     for f in fs:
         _check_poles_off(f, spectra, "spectra of H and H + V")
     out = np.zeros((len(mats), len(fs)), dtype=complex)
-    for blocks in parts:
-        nodes, weights = np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
-        owner = np.concatenate([np.full(len(b[1]), b[2]) for b in blocks])
+    for nodes, weights, owner in parts:
         for j, f in enumerate(fs):
             out[:, j] += _group_sums(owner, weights * divided_difference(f, nodes), len(mats))
     return out
@@ -571,35 +626,64 @@ def remainder_traces(fs, H: HermitianOperator, Vs, m: int) -> np.ndarray:
 _FOLD_CHUNK = 2**18
 
 
-def _fold_kernels(nodes, weights, m, hull):
-    """Sum of w * peano_kernel(row) over the node rows and their weights,
-    in one array pass.
+def _fold_kernels(nodes, weights, owner, m, hulls):
+    """Sum of w * peano_kernel(row) over the node rows of each member and
+    their weights, in one array pass for all members.
 
-    Every kernel is written on the global grid (the union of all merged
-    knots and atom points) in each interval's midpoint variable, so the
-    Cox-de Boor recursion runs on coefficient arrays of shape (kernels,
-    splines, intervals, degree+1) and the weighted sum is one contraction.
+    Every kernel is written on its member's grid (the union of the member's
+    merged knots and atom points), padded to the widest member's, in each
+    interval's midpoint variable, so the Cox-de Boor recursion runs on
+    coefficient arrays of shape (kernels, splines, intervals, degree+1) and
+    each member's weighted sum is one contraction per chunk of kernels.
     Rows whose nodes merge to a single point are atoms of mass w/m!.
-    Returns (density, total_kernel_weight).
+    ``owner`` is ascending, one member per entry of ``hulls``; a member
+    without rows is the zero density on its hull.  Returns one (density,
+    total_kernel_weight) per member.
     """
-    if not len(weights):
-        return PiecewisePolynomial.zero(hull), 0.0
     fact = math.factorial(m)
     zs = _merge_rows(nodes)
     point = zs[:, 0] == zs[:, -1]
-    atom_x, where = np.unique(zs[point, 0], return_inverse=True)
-    masses = weights[point] / fact
-    atom_mass = _group_sums(where, masses, len(atom_x))
-    knots, weights_k = zs[~point], weights[~point]
-    grid = _distinct(knots, atom_x)
-    lo, mid = grid[:-1], 0.5 * (grid[:-1] + grid[1:])
-    coeffs = np.zeros((len(mid), max(m, 1)), dtype=complex)
-    step = max(1, _FOLD_CHUNK // max(1, m * len(mid) * m))
+    ends = np.searchsorted(owner, np.arange(len(hulls) + 1)).tolist()
+    grids, atoms = [], []
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        z, at, w = zs[lo:hi], point[lo:hi], weights[lo:hi]
+        atom_x = _distinct(z[at, 0])
+        atoms.append(tuple(zip(atom_x.tolist(), _group_sums(np.searchsorted(atom_x, z[at, 0]), w[at] / fact, len(atom_x)).tolist())))
+        grids.append(_distinct(z[~at], atom_x))
+    # every member's interval starts and midpoints; a padding interval starts
+    # at infinity, so no kernel reaches it
+    width = max(0, max(len(g) for g in grids) - 1)
+    lo, mid = np.full((len(grids), width), np.inf), np.zeros((len(grids), width))
+    for b, grid in enumerate(grids):
+        if len(grid):
+            lo[b, : len(grid) - 1], mid[b, : len(grid) - 1] = grid[:-1], 0.5 * (grid[:-1] + grid[1:])
+    curve = ~point
+    knots, weights_k, owner_k = zs[curve], weights[curve], owner[curve]
+    runs = np.searchsorted(owner_k, np.arange(len(grids) + 1)).tolist()
+    coeffs = np.zeros((len(grids), width, max(m, 1)), dtype=complex)
+    step = max(1, _FOLD_CHUNK // max(1, m * width * m))
     for start in range(0, len(knots), step):
-        z = knots[start : start + step]
-        coeffs += np.einsum("k,kjd->jd", weights_k[start : start + step], _bspline_levels(z, lo, mid))
-    atoms = tuple(zip(atom_x.tolist(), atom_mass.tolist()))
-    return PiecewisePolynomial(grid, coeffs, atoms), float(np.sum(np.abs(weights))) / fact
+        stop = min(start + step, len(knots))
+        own = owner_k[start:stop]
+        # each member's run of kernels in the chunk; a kernel vanishes on the
+        # intervals that start outside [z_0, z_m), so only the columns that
+        # some kernel of the chunk reaches are built
+        spans = [(b, max(runs[b], start), min(runs[b + 1], stop)) for b in range(int(own[0]), int(own[-1]) + 1) if runs[b] < runs[b + 1]]
+        j0 = min(int(np.searchsorted(lo[b], knots[a:e, 0].min())) for b, a, e in spans)
+        j1 = max(int(np.searchsorted(lo[b], knots[a:e, -1].max())) for b, a, e in spans)
+        # one grid per kernel, or the one grid of a batch of one
+        grid = (lo[own][:, None, j0:j1], mid[own][:, None, j0:j1]) if len(grids) > 1 else (lo[0, j0:j1], mid[0, j0:j1])
+        levels = _bspline_levels(knots[start:stop], *grid)
+        for b, a, e in spans:
+            coeffs[b, j0:j1] += np.einsum("k,kjd->jd", weights_k[a:e], levels[a - start : e - start])
+    out = []
+    for b, (grid, hull) in enumerate(zip(grids, hulls)):
+        if not len(grid):
+            out.append((PiecewisePolynomial.zero(hull), 0.0))
+            continue
+        density = PiecewisePolynomial(grid, coeffs[b, : len(grid) - 1], atoms[b])
+        out.append((density, float(np.sum(np.abs(weights[ends[b] : ends[b + 1]]))) / fact))
+    return out
 
 
 def _sum_kernels(nodes, weights, m, hull):
@@ -627,8 +711,7 @@ def trace_via_measure(U0, g: TestFunction, Us, Hs) -> TraceMeasureReport:
     m = len(Us)
     if len(Hs) != m + 1:
         raise ValidationError("need m+1 operators")
-    mats = [np.asarray(u.entries if isinstance(u, HermitianOperator) else u, dtype=complex) for u in Us]
-    u0 = np.asarray(U0.entries if isinstance(U0, HermitianOperator) else U0, dtype=complex)
+    mats, u0 = [_as_matrix(u) for u in Us], _as_matrix(U0)
     density, total_weight = eigen_tuple_density(u0, mats, Hs)
     measure = WeightedTraceMeasure(density, m + 2)
     core = moi_eval(MoiSymbol(g, 0, m), OperatorTuple(tuple(Hs), tuple(mats)))

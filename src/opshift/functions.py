@@ -341,14 +341,13 @@ def _merge_rows(rows):
     first, total, count = x.copy(), x.copy(), np.ones(x.shape)
     for c in range(1, x.shape[1]):
         joined = ~starts[:, c]
-        first[joined, c] = first[joined, c - 1]
-        total[joined, c] += total[joined, c - 1]
-        count[joined, c] = count[joined, c - 1] + 1.0
+        first[:, c] = np.where(joined, first[:, c - 1], first[:, c])
+        total[:, c] = np.where(joined, total[:, c] + total[:, c - 1], total[:, c])
+        count[:, c] = np.where(joined, count[:, c - 1] + 1.0, 1.0)
     # the last column of each group holds its full sum; carry it leftwards
     rep = np.where(first == x, x, total / count)
     for c in range(x.shape[1] - 2, -1, -1):
-        joined = ~starts[:, c + 1]
-        rep[joined, c] = rep[joined, c + 1]
+        rep[:, c] = np.where(starts[:, c + 1], rep[:, c], rep[:, c + 1])
     return rep
 
 

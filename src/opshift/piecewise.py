@@ -24,6 +24,7 @@ densities only.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -78,11 +79,11 @@ def _trim(coeffs, tol=0.0):
     return c[: nz[-1] + 1]
 
 
-def _horner(rows, s):
+def _horner(rows, s, dtype=complex):
     """Row i of ``rows`` (ascending coefficients) evaluated at s[i], where
     s has shape (len(rows),) or (len(rows), k)."""
     rows = rows.reshape(rows.shape[:1] + (1,) * (s.ndim - 1) + rows.shape[1:])
-    out = np.zeros(s.shape, dtype=complex)
+    out = np.zeros(s.shape, dtype=dtype)
     for d in range(rows.shape[-1] - 1, -1, -1):
         out = out * s + rows[..., d]
     return out
@@ -92,6 +93,24 @@ def _widen(rows, width):
     """Zero-pad the last axis of ``rows`` to ``width`` coefficients."""
     pad = [(0, 0)] * (rows.ndim - 1) + [(0, width - rows.shape[-1])]
     return np.pad(rows, pad)
+
+
+def _joined(arrays):
+    """``np.concatenate`` of 1-d arrays; one array is returned as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _stack_rows(arrays):
+    """The rows of 2-d arrays one after another, zero-padded on the right
+    to the widest; one array is returned as it is."""
+    if len(arrays) == 1:
+        return arrays[0]
+    out = np.zeros((sum(len(a) for a in arrays), max(a.shape[1] for a in arrays)), dtype=np.result_type(*arrays))
+    at = 0
+    for a in arrays:
+        out[at : at + len(a), : a.shape[1]] = a
+        at += len(a)
+    return out
 
 
 def _padsum(x, y):
@@ -360,13 +379,13 @@ class PiecewisePolynomial:
     def lebesgue_integral(self):
         """Integral of the density part over the real line (tails must vanish)."""
         _require_compact(self, "lebesgue_integral")
-        return complex(np.sum(_segment_integrals(self, lambda x, p: p, (), lambda lo, hi: math.inf)))
+        return complex(np.sum(_segment_integrals([self], lambda x, p: p, [()], lambda lo, hi: math.inf)[0]))
 
     def l1_norm(self):
         """Integral of |real part| plus total atomic variation (exact: the
         split Gauss-Legendre rule with weight 1)."""
         _require_compact(self, "l1_norm")
-        return _weighted_abs(self, 0) + self.atomic_mass()
+        return float(_weighted_abs([self], [0])[0, 0]) + self.atomic_mass()
 
     # -- serialization -------------------------------------------------
 
@@ -420,32 +439,48 @@ def _gauss_legendre(n):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _segment_integrals(pp: PiecewisePolynomial, integrand, cuts, reach, degree=0):
-    """Integrals of integrand(x, pp(x)) over the finite intervals of pp,
-    one per segment between consecutive breakpoints and ``cuts``.
+def _segment_integrals(pps, integrand, cuts, reach, degree=0, real=False):
+    """Integrals of integrand(x, pp(x)) over the finite intervals of each
+    density in ``pps``, one per segment between consecutive breakpoints and
+    that density's ``cuts`` (one array per density): one array per density,
+    whose last axis runs over its segments.
 
     Each segment [lo, hi] is cut into equal pieces no longer than
     reach(lo, hi), and each piece gets max(20, (degree + deg pp + 1)/2)
     Gauss-Legendre nodes, so the rule is exact when the integrand is a
-    polynomial of that degree.  All nodes form one (pieces, nodes) array:
-    the density is one Horner pass over each piece's owning row, and
-    ``integrand`` is called once.
+    polynomial of that degree.  All nodes of all densities form one
+    (pieces, nodes) array: the densities are one Horner pass over each
+    piece's owning row, and ``integrand`` is called once; it may add
+    leading axes (one per weight exponent, say).  With ``real`` the
+    densities' real parts are evaluated, in real arithmetic.
     """
-    bp = pp.breakpoints
-    cuts = np.asarray(cuts, dtype=float)
-    grid = _distinct(bp, cuts[(cuts > bp[0]) & (cuts < bp[-1])])
-    lo, hi = grid[:-1], grid[1:]
+    grids, rows, at = [], [], 0
+    for pp, c in zip(pps, cuts):
+        bp, c = pp.breakpoints, np.asarray(c, dtype=float)
+        grids.append(_distinct(bp, c[(c > bp[0]) & (c < bp[-1])]))
+        # each segment's row among the coefficient rows of all densities, stacked
+        rows.append(np.searchsorted(bp, grids[-1][:-1], side="right") + (at - 1))
+        at += len(bp) - 1
+    lo, hi = _joined([g[:-1] for g in grids]), _joined([g[1:] for g in grids])
+    coeffs, mids = _stack_rows([pp.coeffs.real if real else pp.coeffs for pp in pps]), _joined([pp._midpoints() for pp in pps])
     count = np.maximum(1, np.ceil((hi - lo) / reach(lo, hi))).astype(int)
     seg = np.repeat(np.arange(len(lo)), count)
     first = np.cumsum(count) - count
     half = 0.5 * ((hi - lo) / count)[seg]
     centers = lo[seg] + (2 * (np.arange(len(seg)) - first[seg]) + 1) * half
-    nodes, weights = _gauss_legendre(max(_GAUSS_NODES, -(-(degree + pp.coeffs.shape[1]) // 2)))
+    nodes, weights = _gauss_legendre(max(_GAUSS_NODES, -(-(degree + coeffs.shape[1]) // 2)))
     x = centers[:, None] + half[:, None] * nodes
-    owner = (np.searchsorted(bp, lo, side="right") - 1)[seg]
-    values = _horner(pp.coeffs[owner], x - pp._midpoints()[owner, None])
-    pieces = (integrand(x, values) @ weights) * half
-    return np.add.reduceat(pieces, first)
+    owner = _joined(rows)[seg]
+    values = integrand(x, _horner(coeffs[owner], x - mids[owner, None], coeffs.dtype))
+    # one product per density, so each density's pieces do not depend on the others
+    out, at, a = [], 0, 0
+    for grid in grids:
+        n = len(grid) - 1
+        b = int(first[at + n]) if at + n < len(first) else len(seg)
+        pieces = (values[..., a:b, :] @ weights) * half[a:b]
+        out.append(np.add.reduceat(pieces, first[at : at + n] - a, axis=-1) if n else pieces)
+        at, a = at + n, b
+    return out
 
 
 def _weight_reach(lo, hi):
@@ -454,15 +489,19 @@ def _weight_reach(lo, hi):
     return 0.5 * (1.0 + nearest)
 
 
-def _real_roots(rows):
-    """(row index, root) of the real roots of each real coefficient row.
+def _real_roots(rows, counts=None):
+    """(row index, root) of the real roots of each real coefficient row,
+    ascending by row.
 
-    One batched ``eigvals`` on companion matrices gives the candidates;
-    leading coefficients below 1e-12 of a row's largest are dropped as
-    noise first, and a row of lower degree is multiplied by a power of its
-    variable, which only adds candidates at 0.  Three Newton steps on the
-    full row then polish each real candidate, since a small leading
-    coefficient leaves the companion's eigenvalues inaccurate.
+    Batched ``eigvals`` on companion matrices give the candidates, one call
+    per companion size; leading coefficients below 1e-12 of a row's largest
+    are dropped as noise first, and a row of lower degree than the highest
+    in its block is multiplied by a power of its variable, which only adds
+    candidates at 0.  ``counts`` splits the rows into consecutive blocks
+    (by default they form one), so a row's roots depend on its block alone.
+    Three Newton steps on the full row then polish each real candidate,
+    since a small leading coefficient leaves the companion's eigenvalues
+    inaccurate.
     """
     rows = np.asarray(rows, dtype=float)
     live = np.abs(rows) > 1e-12 * np.max(np.abs(rows), axis=1, initial=0.0)[:, None]
@@ -470,32 +509,54 @@ def _real_roots(rows):
     keep = np.flatnonzero(deg > 0)
     if not len(keep):
         return np.zeros(0, dtype=int), np.zeros(0)
-    top = int(deg[keep].max())
-    src = np.arange(top + 1) - (top - deg[keep])[:, None]
-    padded = np.where(src >= 0, np.take_along_axis(rows[keep], np.maximum(src, 0), axis=1), 0.0)
-    companion = np.zeros((len(keep), top, top))
-    companion[:, np.arange(1, top), np.arange(top - 1)] = 1.0
-    companion[:, :, -1] = -padded[:, :top] / padded[:, top:]
-    roots = np.linalg.eigvals(companion)
-    row, col = np.nonzero(np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots.real)))
-    row, y = keep[row], roots.real[row, col]
-    slope = rows[:, 1:] * np.arange(1, rows.shape[1])
+    if counts is None or len(counts) == 1:
+        groups = [(keep, int(deg[keep].max()))]
+    else:
+        counts = np.array([c for c in counts if c])
+        size = np.repeat(np.maximum.reduceat(deg, np.cumsum(counts) - counts), counts)[keep]
+        groups = [(keep[size == top], top) for top in _distinct(size).tolist()]
+    found = []
+    for sel, top in groups:
+        src = np.arange(top + 1) - (top - deg[sel])[:, None]
+        padded = np.where(src >= 0, np.take_along_axis(rows[sel], np.maximum(src, 0), axis=1), 0.0)
+        companion = np.zeros((len(sel), top, top))
+        companion[:, np.arange(1, top), np.arange(top - 1)] = 1.0
+        companion[:, :, -1] = -padded[:, :top] / padded[:, top:]
+        roots = np.linalg.eigvals(companion)
+        row, col = np.nonzero(np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots.real)))
+        found.append((sel[row], roots.real[row, col]))
+    (row, y), *more = found
+    if more:
+        row, y = np.concatenate([row] + [r for r, _ in more]), np.concatenate([y] + [v for _, v in more])
+        order = np.argsort(row, kind="stable")
+        row, y = row[order], y[order]
+    at, slope = rows[row], rows[row, 1:] * np.arange(1, rows.shape[1])
     with np.errstate(all="ignore"):
         for _ in range(3):
-            step = _horner(rows[row], y).real / _horner(slope[row], y).real
+            step = _horner(at, y, float) / _horner(slope, y, float)
             y = np.where(np.isfinite(step), y - step, y)
     return row, y
 
 
-def _root_points(pp: PiecewisePolynomial, rows):
-    """Real roots strictly inside each interval of the real coefficient
-    ``rows`` (a multiple of the interval count, row i on interval i mod n),
-    found in the scaled variable (x - mid)/half."""
-    half = 0.5 * np.diff(pp.breakpoints)
-    row, y = _real_roots(rows * np.resize(half, len(rows))[:, None] ** np.arange(rows.shape[1]))
+def _root_points(pps, rows):
+    """Real roots strictly inside each interval of each density, of its real
+    coefficient ``rows`` (one array per density, a multiple of its interval
+    count, row i on interval i mod n), found in the scaled variable
+    (x - mid)/half by one root search over all of them, each density's rows
+    one block: one array per density."""
+    halves = [0.5 * np.diff(pp.breakpoints) for pp in pps]
+    counts = [len(r) for r in rows]
+    scaled = _stack_rows([r * np.resize(h, len(r))[:, None] ** np.arange(r.shape[1]) for r, h in zip(rows, halves)])
+    row, y = _real_roots(scaled, counts)
     inside = np.abs(y) < 1.0
-    owner = row[inside] % max(1, len(half))
-    return pp._midpoints()[owner] + half[owner] * y[inside]
+    row, y = row[inside], y[inside]
+    ends = list(itertools.accumulate(counts))
+    out, a = [], 0
+    for pp, h, n, end, b in zip(pps, halves, counts, ends, np.searchsorted(row, ends).tolist()):
+        owner = (row[a:b] - (end - n)) % max(1, len(h))
+        out.append(pp._midpoints()[owner] + h[owner] * y[a:b])
+        a = b
+    return out
 
 
 def _require_compact(pp: PiecewisePolynomial, what):
@@ -503,25 +564,27 @@ def _require_compact(pp: PiecewisePolynomial, what):
         raise ValidationError(f"{what} needs a compactly supported density")
 
 
-def _abs_cuts(pp: PiecewisePolynomial):
-    """0 and the real roots of Re pp inside its intervals, where |Re pp| (1+|x|)^-w kinks."""
-    return np.append(_root_points(pp, pp.coeffs.real), 0.0)
+def _abs_cuts(pps):
+    """0 and the real roots of Re pp inside the intervals of each density,
+    where |Re pp| (1+|x|)^-w kinks, from one root search."""
+    return [np.append(r, 0.0) for r in _root_points(pps, [pp.coeffs.real for pp in pps])]
 
 
-def _weighted_abs(pp: PiecewisePolynomial, w, cuts=None):
-    """Integral of |Re pp| (1+|x|)^-w over the finite intervals: the rule
-    on segments split at ``cuts`` (by default :func:`_abs_cuts`), |.| per
+def _weighted_abs(pps, ws):
+    """Integrals of |Re pp| (1+|x|)^-w over the finite intervals of each
+    density at each exponent, a (densities, exponents) array: the rule on
+    segments split at :func:`_abs_cuts`, one pass for all of them, |.| per
     segment."""
-    cuts = _abs_cuts(pp) if cuts is None else cuts
-    seg = _segment_integrals(pp, lambda x, p: (1.0 + np.abs(x)) ** -w * p.real, cuts, _weight_reach)
-    return float(np.sum(np.abs(seg.real)))
+    w = np.asarray(ws)[:, None, None]
+    segs = _segment_integrals(pps, lambda x, p: (1.0 + np.abs(x)) ** -w * p, _abs_cuts(pps), _weight_reach, real=True)
+    return np.array([np.sum(np.abs(seg), axis=-1) for seg in segs])
 
 
 def _weighted_modulus(pp: PiecewisePolynomial, w):
     """Integral of |pp| (1+x^2)^(-w/2) over the finite intervals, split at
     the real roots of the real and of the imaginary part, where |pp| kinks."""
-    cuts = _root_points(pp, np.concatenate([pp.coeffs.real, pp.coeffs.imag]))
-    seg = _segment_integrals(pp, lambda x, p: (1.0 + x * x) ** (-w / 2.0) * np.abs(p), cuts, _weight_reach)
+    cuts = _root_points([pp], [np.concatenate([pp.coeffs.real, pp.coeffs.imag])])
+    seg = _segment_integrals([pp], lambda x, p: (1.0 + x * x) ** (-w / 2.0) * np.abs(p), cuts, _weight_reach)[0]
     return float(np.sum(seg.real))
 
 
@@ -569,7 +632,7 @@ def integral_against_derivative(f, order, pp: PiecewisePolynomial):
     """
     bp = pp.breakpoints
     reach, degree = _factor_rule(f, order)
-    seg = _segment_integrals(pp, lambda x, p: f.eval_deriv(order, x) * p, f.kink_points, lambda lo, hi: reach, degree)
+    seg = _segment_integrals([pp], lambda x, p: f.eval_deriv(order, x) * p, [f.kink_points], lambda lo, hi: reach, degree)[0]
     total = complex(np.sum(seg))
     for tail, edge, side in ((pp.left_tail, bp[0], -1), (pp.right_tail, bp[-1], 1)):
         if tail is not None and np.any(np.abs(tail) > 0):
@@ -585,19 +648,23 @@ def weighted_abs_integral(pp: PiecewisePolynomial, weight_exponent):
 
     Finite intervals are split at 0 and at the real roots of each piece
     and integrated by the split Gauss-Legendre rule, with |.| taken per
-    root segment.
+    root segment.  The batch of one of :func:`weighted_abs_integrals`.
     """
-    return weighted_abs_integrals(pp, [weight_exponent])[0]
+    return weighted_abs_integrals([pp], [weight_exponent])[0][0]
 
 
-def weighted_abs_integrals(pp: PiecewisePolynomial, weight_exponents):
-    """:func:`weighted_abs_integral` at each exponent, bit for bit, from one
-    root search: the segments do not depend on the weight."""
-    _require_compact(pp, "weighted_abs_integral")
-    cuts, out = _abs_cuts(pp), []
-    for w in map(int, weight_exponents):
-        total = _weighted_abs(pp, w, cuts)
-        for x, m in pp.atoms:
-            total += abs(complex(m)) * (1.0 + abs(x)) ** (-w)
-        out.append(total)
+def weighted_abs_integrals(pps, weight_exponents):
+    """:func:`weighted_abs_integral` of each density in ``pps`` at each
+    exponent, one row per density, from one root search and one pass of
+    the rule over all their intervals: the segments depend neither on the
+    weight nor on the other densities, and each exponent of one density
+    gives its values bit for bit."""
+    for pp in pps:
+        _require_compact(pp, "weighted_abs_integral")
+    ws = [int(w) for w in weight_exponents]
+    out = _weighted_abs(pps, ws).tolist()
+    for row, pp in zip(out, pps):
+        for j, w in enumerate(ws):
+            for x, m in pp.atoms:
+                row[j] += abs(complex(m)) * (1.0 + abs(x)) ** (-w)
     return out

@@ -26,17 +26,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cov import WeightedTraceMeasure, _dressed_terms, alternating_signature, corollary_expand, eigen_tuple_density, remainder_traces
+from .cov import WeightedTraceMeasure, _dressed_terms, alternating_signature, corollary_expand, eigen_tuple_densities, eigen_tuple_density, remainder_traces
 from .errors import ValidationError
 from .functions import PolynomialFunction, TestFunction, bump, class_membership, weight_multiply
 from .linalg import HermitianOperator, schatten_norm
 # moi_eval stays importable here: bench/tracing.py patches it at this import site
 from .moi import moi_eval  # noqa: F401
-from .piecewise import PiecewisePolynomial, integral_against_derivative, weighted_abs_integral, weighted_abs_integrals, _distinct, _shift_rows
+# weighted_abs_integral stays importable here: bench/tracing.py patches it at this import site
+from .piecewise import PiecewisePolynomial, integral_against_derivative, weighted_abs_integral, weighted_abs_integrals, _distinct, _shift_rows  # noqa: F401
 
 __all__ = [
     "SpectralShiftDensity",
     "ssf_compute",
+    "shift_densities",
     "verify_trace_formula",
     "TraceFormulaReport",
     "weighted_norm_and_scaling",
@@ -97,21 +99,38 @@ def remainder_pattern(H: HermitianOperator, V: HermitianOperator, m: int):
 def ssf_compute(H: HermitianOperator, V: HermitianOperator, m: int) -> SpectralShiftDensity:
     """Spectral shift density of order m: the eigen-tuple weights of the
     remainder integral against divided-difference kernels, exact for
-    every m >= 1.
+    every m >= 1.  The batch of one of :func:`shift_densities`.
     """
+    _check_pair(H, V, m)
+    ops, args = remainder_pattern(H, V, m)
+    return _shift_density(m, *eigen_tuple_density(np.eye(H.dim, dtype=complex), list(args), list(ops)))
+
+
+def shift_densities(H: HermitianOperator, Vs, m: int):
+    """:func:`ssf_compute` of (H, V) for every V in Vs, from one stacked
+    pass of :func:`opshift.cov.eigen_tuple_densities` over the family."""
+    for V in Vs:
+        _check_pair(H, V, m)
+    eye = np.eye(H.dim, dtype=complex)
+    members = [(eye, list(args), list(ops)) for ops, args in (remainder_pattern(H, V, m) for V in Vs)]
+    return [_shift_density(m, *pair) for pair in eigen_tuple_densities(members)]
+
+
+def _check_pair(H, V, m):
     if m < 1:
         raise ValidationError("order must be at least 1")
     if H.dim != V.dim:
         raise ValidationError("dimension mismatch")
-    ops, args = remainder_pattern(H, V, m)
-    density, total_weight = eigen_tuple_density(np.eye(H.dim, dtype=complex), list(args), list(ops))
-    imag = density.imag_magnitude()
-    real_density = density.real_part()
+
+
+def _shift_density(m, density, total_weight):
+    """The real part of a remainder density, with its imaginary residue
+    and a-priori scale."""
     return SpectralShiftDensity(
         order=m,
-        density=real_density,
+        density=density.real_part(),
         construction="bspline",
-        imag_residue=imag,
+        imag_residue=density.imag_magnitude(),
         scale=max(1.0, density.coefficient_scale(), total_weight),
     )
 
@@ -218,19 +237,20 @@ def weight_exponent_survey(reports):
     density norm to the bound factor across the ensemble, and report the
     smallest weight whose worst ratio stays within a factor two of the
     reference weight's.  A report's own exponent reuses its
-    ``weighted_l1``; the other weights share one root search per density.
+    ``weighted_l1``; the other weights of every density come from one
+    :func:`opshift.piecewise.weighted_abs_integrals` call.
     """
     w_ref = reports[0].weight_exponent
     weights = list(range(max(1, w_ref - 4), w_ref + 1))
     worst = {w: 0.0 for w in weights}
-    for rep in reports:
-        if rep.rhs_factor == 0.0:
-            continue
-        others = [w for w in weights if w != rep.weight_exponent]
-        norms = dict(zip(others, weighted_abs_integrals(rep.density, others)))
-        norms[rep.weight_exponent] = rep.weighted_l1  # weighted_abs_integral at its own exponent
-        for w in weights:
-            worst[w] = max(worst[w], norms[w] / rep.rhs_factor)
+    live = [rep for rep in reports if rep.rhs_factor != 0.0]
+    if live:
+        others = weights[:-1]
+        for rep, row in zip(live, weighted_abs_integrals([rep.density for rep in live], others)):
+            norms = dict(zip(others, row))
+            norms[w_ref] = rep.weighted_l1  # weighted_abs_integral at its own exponent
+            for w in weights:
+                worst[w] = max(worst[w], norms[w] / rep.rhs_factor)
     reference = worst[w_ref]
     smallest = w_ref
     for w in weights:
@@ -242,24 +262,22 @@ def weight_exponent_survey(reports):
 
 def weighted_norm_and_scaling(H, V, n, parity) -> ScalingReport:
     """Weighted L1 norm of eta_m, the bound's right-hand factor, and the
-    fitted log-log slope of the norm under V -> tV, t = 1, 1/2, ..., 2^-8."""
+    fitted log-log slope of the norm under V -> tV, t = 1, 1/2, ..., 2^-8.
+
+    The nine densities eta_m(H, tV) come from one stacked pass
+    (:func:`shift_densities`) and their weighted norms from one
+    :func:`opshift.piecewise.weighted_abs_integrals` call."""
     m, w = _orders_for(n, parity)
-    eta = ssf_compute(H, V, m)
-    weighted = weighted_abs_integral(eta.density, w)
-    rhs = _bound_factor(H, V, n, parity)
     ts = [2.0 ** (-j) for j in range(9)]
-    values = []
-    for t in ts:
-        if t == 1.0:
-            values.append(weighted)
-        else:
-            eta_t = ssf_compute(H, t * V, m)
-            values.append(weighted_abs_integral(eta_t.density, w))
+    etas = shift_densities(H, [V] + [t * V for t in ts[1:]], m)
+    values = [row[0] for row in weighted_abs_integrals([eta.density for eta in etas], [w])]
+    weighted = values[0]
+    rhs = _bound_factor(H, V, n, parity)
     slope = None
     if all(v > 0 for v in values):
         slope = float(np.polyfit(np.log(ts), np.log(values), 1)[0])
     ratio = weighted / rhs if rhs > 0 else (math.inf if weighted > 0 else 0.0)
-    return ScalingReport(m, w, float(weighted), float(rhs), float(ratio), tuple(zip(ts, values)), slope, eta.density)
+    return ScalingReport(m, w, float(weighted), float(rhs), float(ratio), tuple(zip(ts, values)), slope, etas[0].density)
 
 
 # ---------------------------------------------------------------------------

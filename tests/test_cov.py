@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -515,13 +517,13 @@ class TestKernelFold:
             (-1.0, 0.0, 1.0, 2.0): 1.1,
         }
         nodes, values = np.array(list(weights)), np.array(list(weights.values()), dtype=complex)
-        density, total = cov._fold_kernels(nodes, values, 3, (0.0, 1.0))
+        [(density, total)] = cov._fold_kernels(nodes, values, np.zeros(len(values), dtype=int), 3, [(0.0, 1.0)])
         assert _fold_error(density, cov._sum_kernels(nodes, values, 3, (0.0, 1.0))[0]) <= 1e-14
         assert dict(density.atoms)[0.25] == pytest.approx(2.0 / 6.0)
         assert total == pytest.approx(sum(abs(w) for w in weights.values()) / 6.0)
 
     def test_no_weight_gives_zero_density_on_the_hull(self):
-        density, total = cov._fold_kernels(np.zeros((0, 4)), np.zeros(0, dtype=complex), 3, (-1.0, 2.0))
+        [(density, total)] = cov._fold_kernels(np.zeros((0, 4)), np.zeros(0, dtype=complex), np.zeros(0, dtype=int), 3, [(-1.0, 2.0)])
         assert total == 0.0 and density.support() == (-1.0, 2.0)
         assert np.all(density(np.linspace(-1.0, 2.0, 7)) == 0.0)
 
@@ -653,14 +655,15 @@ class TestCycleWeights:
     @pytest.mark.parametrize("d, m", _SHAPES)
     def test_weights_and_density_match_the_tuple_loop(self, case, d, m):
         U0, Us, Hs = _CASES[case](100 + 10 * d + m, d, m)
-        nodes, weights = cov._tuple_weights(U0, Us, Hs)
+        nodes, weights, owner = cov._tuple_weights([(U0, Us, Hs)])
+        assert not owner.any()
         ref = _reference_weights(U0, Us, Hs)
         got = {tuple(row): w for row, w in zip(nodes.tolist(), weights.tolist())}
         assert list(got) == sorted(got)  # ascending, as the fold expects
         scale = max(abs(w) for w in ref.values())
         assert max(abs(got.get(k, 0.0) - ref.get(k, 0.0)) for k in set(got) | set(ref)) <= 1e-13 * scale
         ref_nodes = np.array(list(ref), dtype=float).reshape(len(ref), m + 1)
-        ref_density, _ = cov._fold_kernels(ref_nodes, np.array(list(ref.values())), m, cov._hull(Hs))
+        [(ref_density, _)] = cov._fold_kernels(ref_nodes, np.array(list(ref.values())), np.zeros(len(ref), dtype=int), m, [cov._hull(Hs)])
         density, _ = eigen_tuple_density(U0, Us, Hs)
         assert _pointwise_error(density, ref_density) <= 1e-12
 
@@ -675,6 +678,108 @@ class TestCycleWeights:
         chunked, _ = eigen_tuple_density(U0, Us, Hs)
         assert blocks == [(0, 1), (1, 4), (4, 5)]  # one chunk per cluster of H_0
         assert _fold_error(chunked, whole) <= 1e-14
+
+
+def _special_members(seed, m):
+    """The three members every stack carries: H + V with a double eigenvalue
+    (a second cluster shape), V = 0 (no kernels) and a d = 1 member whose
+    nodes all coincide (atoms only)."""
+    rng = rng_stream(seed, 6)
+    H = random_hermitian(rng, 3, 1.0)
+    V = HermitianOperator(_spectral(rng, [-0.4, 0.3, 0.3]).entries - H.entries)
+    clustered = (np.eye(3), [V.entries] * m, [H, H + V] + [H] * (m - 1))
+    zero = (np.eye(4), [np.zeros((4, 4))] * m, [random_hermitian(rng, 4, 1.0)] * (m + 1))
+    h = HermitianOperator([[0.3]])
+    atoms = (np.array([[1.5 - 0.5j]]), [np.array([[0.7]])] * m, [h] * (m + 1))
+    return [clustered, zero, atoms]
+
+
+def _stack(seed, count, m):
+    """``count`` members of order m: the special members first, then remainder
+    and general patterns of dimensions 1..5 in turn, each with its own H, at
+    most 10^4 cluster tuples each."""
+    members = _special_members(seed, m)
+    for i in range(max(0, count - 3)):
+        case = _remainder_case if i % 2 else _general_case
+        members.append(case(seed + i, min(1 + i % 5, int(1e4 ** (1 / (m + 1)))), m))
+    return members[:count]
+
+
+def _member_scale(density, total):
+    return max(1.0, density.coefficient_scale(), total)
+
+
+class TestStackedDensities:
+    """One stacked pass over a family of members against each batch of one."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("count", [1, 3, 9])
+    def test_members_match_their_batch_of_one(self, count, m):
+        members = _stack(200 + m, count, m)
+        assert len(members[0][2][1].decomposition().eigenvalues) == 2  # H + V has a double eigenvalue
+        stacked = cov.eigen_tuple_densities(members)
+        nodes, weights, owner = cov._tuple_weights(members)
+        assert np.all(np.diff(owner) >= 0)
+        for b, ((density, total), member) in enumerate(zip(stacked, members)):
+            alone, alone_total = eigen_tuple_density(*member)
+            scale = _member_scale(alone, alone_total)
+            assert np.array_equal(density.breakpoints, alone.breakpoints)
+            assert [x for x, _ in density.atoms] == [x for x, _ in alone.atoms]
+            assert max([abs(a - c) for (_, a), (_, c) in zip(density.atoms, alone.atoms)] + [0.0]) <= 1e-14 * scale
+            assert float(np.max(np.abs(density.coeffs - alone.coeffs), initial=0.0)) <= 1e-14 * scale
+            assert total == pytest.approx(alone_total, rel=1e-14, abs=0.0)
+            ref_nodes, ref_weights, _ = cov._tuple_weights([member])
+            assert np.array_equal(nodes[owner == b], ref_nodes)
+            assert np.max(np.abs(weights[owner == b] - ref_weights), initial=0.0) <= 1e-14 * scale
+        if count >= 2:
+            zero, zero_total = stacked[1]
+            assert zero_total == 0.0 and zero.support() == cov._hull(members[1][2]) and not zero.coeffs.any()
+        if count >= 3:
+            atoms, atoms_total = stacked[2]
+            assert len(atoms.breakpoints) == 1 and atoms.atoms[0][0] == 0.3
+            assert atoms.atoms[0][1] == pytest.approx((1.5 - 0.5j) * 0.7**m / math.factorial(m), rel=1e-14)
+            assert atoms_total == pytest.approx(abs(1.5 - 0.5j) * 0.7**m / math.factorial(m), rel=1e-14)
+
+    def test_chunks_and_sub_stacks_match_one_pass(self, monkeypatch):
+        # one kernel per fold chunk and one member per sub-stack, each chunk
+        # a single cluster of H_0, so runs of kernels cross chunk boundaries
+        members = _stack(230, 9, 3)
+        whole = cov.eigen_tuple_densities(members)
+        monkeypatch.setattr(cov, "_FOLD_CHUNK", 1)
+        monkeypatch.setattr(moi, "_CYCLE_CHUNK", 1)
+        chunked = cov.eigen_tuple_densities(members)
+        for (got, _), (ref, ref_total) in zip(chunked, whole):
+            assert np.array_equal(got.breakpoints, ref.breakpoints)
+            assert float(np.max(np.abs(got.coeffs - ref.coeffs), initial=0.0)) <= 1e-14 * _member_scale(ref, ref_total)
+
+    def test_an_over_budget_member_stops_the_stack_before_any_work(self, monkeypatch):
+        def guarded(*args):
+            pytest.fail("a stack with an over-budget member contracted a chain")
+
+        members = _stack(240, 3, 6)
+        big = random_hermitian(rng_stream(240, 9), 16, 1.0)
+        members.append((np.eye(16), [np.eye(16)] * 6, [big] * 7))  # 16^7 cluster tuples
+        monkeypatch.setattr(moi, "_chain_block", guarded)
+        with pytest.raises(BudgetError):
+            cov.eigen_tuple_densities(members)
+        with pytest.raises(BudgetError):
+            cov._tuple_weights(members)
+
+    def test_stacked_peak_memory_stays_near_one_member(self):
+        # members past one chunk of tuples run one at a time: 9 members at
+        # d = 10, m = 5 (10^6 cluster tuples each) peak near a single member
+        H = random_hermitian(rng_stream(250, 0), 10, 1.0)
+        Vs = [random_hermitian(rng_stream(250, 1 + i), 10, 0.3) for i in range(9)]
+        members = [(np.eye(10), [v.entries] * 5, [H, H + v] + [H] * 4) for v in Vs]
+        peaks = []
+        for batch in (members[:1], members):
+            tracemalloc.start()
+            try:
+                cov.eigen_tuple_densities(batch)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 def _assert_matches_per_term(exp, g, eps, Hs, Vs):

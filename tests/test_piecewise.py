@@ -153,12 +153,22 @@ class TestWeightedAbsIntegral:
         weights = [3, 7, 10, 11]
         alone = []
         for w in weights:
-            total = piecewise._weighted_abs(pp, w)  # its own root search
+            total = piecewise._weighted_abs([pp], [w])[0, 0]  # its own root search
             for x, m in pp.atoms:
                 total += abs(complex(m)) * (1.0 + abs(x)) ** (-w)
             alone.append(total)
-        assert weighted_abs_integrals(pp, weights) == alone
+        assert weighted_abs_integrals([pp], weights) == [alone]
         assert [weighted_abs_integral(pp, w) for w in weights] == alone
+
+
+    def test_several_densities_match_each_alone_bit_for_bit(self, rng):
+        # one root search and one pass for all: each density's segments, roots
+        # and products depend on it alone, whatever its degree and neighbours
+        pps = [random_pp(rng, n_intervals=n, degree=deg) for n, deg in ((4, 3), (1, 0), (6, 5), (3, 1))]
+        pps.append(PiecewisePolynomial(pps[0].breakpoints, pps[0].coeffs, ((0.3, 0.25), (-1.2, -0.5j))))
+        pps.append(PiecewisePolynomial.atom([0.5], [2.0]))  # no interval at all
+        weights = [3, 7, 10]
+        assert weighted_abs_integrals(pps, weights) == [[weighted_abs_integral(pp, w) for w in weights] for pp in pps]
 
 
 class TestDistinct:

@@ -131,7 +131,7 @@ def test_remainder_density_keeps_only_cycle_kernels():
     # on (H, H+V, H, H, H) with U0 = I only the cycles j_4 = j_0 carry
     # weight; a loop over all eigen-tuples also kept 560 round-off kernels
     H, V, poles = _instance([5, 4, 8], 8, 0.5)
-    nodes, _ = cov._tuple_weights(np.eye(8), [V.entries] * 4, [H, H + V, H, H, H])
+    nodes, _, _ = cov._tuple_weights([(np.eye(8), [V.entries] * 4, [H, H + V, H, H, H])])
     lam, mu = H.decomposition().eigenvalues, (H + V).decomposition().eigenvalues
     cycles = {tuple(sorted((a, b, c, e, a))) for a in lam for b in mu for c in lam for e in lam}
     assert len(cycles) == 2080
@@ -195,6 +195,26 @@ def test_remainder_traces_give_identical_rows_for_a_repeated_perturbation():
     fs = [rational_from_poles(poles), bump(-1.2, 1.2, smoothness=5), GaussianFunction(0.1, 0.4)]
     got = cov.remainder_traces(fs, H, [V, HermitianOperator(0.5 * V.entries), V], 3)
     assert np.array_equal(got[0], got[2])
+
+
+@pytest.mark.parametrize("d, m", [(1, 2), (3, 3), (4, 5)])
+def test_remainder_traces_of_a_stack_match_its_rows_one_at_a_time(d, m):
+    # one weight call per order over every V: V = 0, a V whose H + V has a
+    # double eigenvalue (a second cluster shape) and scaled copies of V
+    H, V, poles = _instance([15, d, m], d, 0.5)
+    rng = np.random.default_rng([15, d, m, 1])
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    ev = np.linspace(-0.5, 0.5, d)
+    ev[d - 1] = ev[max(d - 2, 0)]
+    Vs = [HermitianOperator(np.zeros((d, d))), HermitianOperator(q @ np.diag(ev) @ q.conj().T - H.entries)]
+    Vs += [HermitianOperator(t * V.entries) for t in (1.0, 0.5, 0.25, 1e-3)]
+    fs = [rational_from_poles(poles), bump(-1.2, 1.2, smoothness=m + 2), GaussianFunction(0.1, 0.4)]
+    got = cov.remainder_traces(fs, H, Vs, m)
+    for row, W in zip(got, Vs):
+        alone = cov.remainder_traces(fs, H, [W], m)[0]
+        for value, ref, f in zip(row, alone, fs):
+            assert abs(value - ref) <= 1e-15 * _trace_scale(f, H)
+    assert np.max(np.abs(got[0])) <= 1e-15 * d
 
 
 def test_remainder_traces_reject_a_pole_on_the_perturbed_spectrum():

@@ -9,7 +9,7 @@ from opshift.errors import ValidationError
 from opshift.functions import NODE_MERGE_RELTOL, GaussianFunction, PolynomialFunction, bump, rational_from_poles
 from opshift.linalg import HermitianOperator
 from opshift.moi import taylor_remainder
-from opshift.piecewise import PiecewisePolynomial, weighted_abs_integral
+from opshift.piecewise import PiecewisePolynomial, weighted_abs_integral, weighted_abs_integrals
 from opshift.ssf import (
     ScalingReport,
     SpectralShiftDensity,
@@ -18,6 +18,7 @@ from opshift.ssf import (
     measure_weight_shift,
     reconstruct_density,
     rp_term_measures,
+    shift_densities,
     ssf_compute,
     uniqueness_fit,
     verify_trace_formula,
@@ -163,6 +164,61 @@ class TestVerifyTraceFormula:
             assert rep.max_relative_residual <= 1e-8
 
 
+def _family(seed, d, count):
+    """H and ``count`` perturbations: V = 0, a V with a double eigenvalue of
+    H + V (for d >= 2, a second cluster shape), then tV for t = 1, 1/2, ..."""
+    rng = rng_stream(seed, 0)
+    H, V = random_hermitian(rng, d, 1.0), random_hermitian(rng, d, 0.4)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    ev = np.linspace(-0.5, 0.5, d)
+    ev[d - 1] = ev[max(d - 2, 0)]
+    double = HermitianOperator(q @ np.diag(ev) @ q.conj().T - H.entries) if d >= 2 else V
+    Vs = [HermitianOperator(np.zeros((d, d))), double] + [2.0**-j * V for j in range(count)]
+    return H, Vs[:count]
+
+
+class TestShiftDensities:
+    """The stacked densities of a family against ssf_compute per member."""
+
+    @pytest.mark.parametrize("d, m", [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (3, 6), (1, 4), (5, 1), (2, 6)])
+    @pytest.mark.parametrize("count", [1, 3, 9])
+    def test_members_match_ssf_compute(self, count, d, m):
+        H, Vs = _family(300 + 10 * d + m, d, count)
+        w = 4 * ((m + 1) // 2) + (2 if m % 2 else 3)
+        if d >= 2 and count > 1:
+            assert len((H + Vs[1]).decomposition().eigenvalues) == d - 1
+        etas = shift_densities(H, Vs, m)
+        norms = weighted_abs_integrals([eta.density for eta in etas], [w, w - 3])
+        for eta, V, norm in zip(etas, Vs, norms):
+            ref = ssf_compute(H, V, m)
+            assert np.array_equal(eta.density.breakpoints, ref.density.breakpoints)
+            assert float(np.max(np.abs(eta.density.coeffs - ref.density.coeffs), initial=0.0)) <= 1e-14 * ref.scale
+            assert dict(eta.density.atoms).keys() == dict(ref.density.atoms).keys()
+            assert eta.scale == pytest.approx(ref.scale, rel=1e-14)
+            assert eta.imag_residue <= ref.imag_residue + 1e-14 * ref.scale
+            for value, v in zip(norm, (w, w - 3)):
+                assert value == pytest.approx(weighted_abs_integral(ref.density, v), rel=1e-13, abs=0.0)
+        if count > 1:
+            assert not etas[0].density.coeffs.any() and norms[0] == [0.0, 0.0]
+
+    def test_sweep_matches_one_density_per_scale(self):
+        H, V = random_pair(rng_stream(320, 0), 3, 1.0, 0.3)
+        for parity in ("odd", "even"):
+            rep = weighted_norm_and_scaling(H, V, 2, parity)
+            for t, value in rep.scales:
+                alone = weighted_abs_integral(ssf_compute(H, t * V, rep.order).density, rep.weight_exponent)
+                assert value == pytest.approx(alone, rel=1e-13, abs=0.0)
+            assert rep.weighted_l1 == rep.scales[0][1]
+            assert np.array_equal(rep.density.coeffs, ssf_compute(H, V, rep.order).density.coeffs)
+
+    def test_zero_perturbation_gives_the_zero_density_on_the_hull(self):
+        H = random_hermitian(rng_stream(321, 0), 3, 1.0)
+        rep = weighted_norm_and_scaling(H, HermitianOperator(np.zeros((3, 3))), 2, "even")
+        assert rep.slope is None and rep.weighted_l1 == 0.0
+        assert rep.density.support() == tuple(H.decomposition().eigenvalues[[0, -1]])
+        assert not rep.density.coeffs.any() and rep.density.atoms == ()
+
+
 class TestWeightedNormAndScaling:
     def test_zero_perturbation(self):
         H = random_hermitian(rng_stream(59, 0), 3, 1.0)
@@ -218,7 +274,7 @@ class TestWeightedNormAndScaling:
 class TestWeightExponentSurvey:
     @pytest.mark.parametrize("parity", ["odd", "even"])
     def test_matches_one_weighted_norm_per_weight_bit_for_bit(self, parity):
-        # the survey reuses each report's weighted_l1 and one root search per density
+        # the survey reuses each report's weighted_l1 and one root search for all densities
         pairs = [random_pair(rng_stream(seed, 0), 3, 1.0, 0.3) for seed in (66, 67)]
         pairs.append((pairs[0][0], HermitianOperator(np.zeros((3, 3)))))  # bound factor 0: skipped
         reports = [weighted_norm_and_scaling(H, V, 2, parity) for H, V in pairs]
