@@ -19,7 +19,7 @@ slot, on which side resolvents are attached.  The machinery here covers
   as an integral of g^(m) u^(m+2) against an explicit piecewise density,
   whose tuple weights come from one cycle product in the eigenbases of
   the H_k and whose divided-difference kernels are folded in one array
-  pass, and
+  pass, for one operator tuple or a stacked family of them, and
 * the remainder traces Tr R_m(f; H, V) of a whole function family from
   one set of closed-cycle weights per perturbation and order.
 """

@@ -9,12 +9,12 @@ where R_m(f) is the order-m Taylor remainder of f(H+V).  On matrices
 eta_m is an exact piecewise polynomial: the remainder is one operator
 integral with operator pattern (H, H+V, H, ..., H), its trace is a sum
 of eigen-tuple weights times divided differences, and each divided
-difference is the integral of f^(m) against a B-spline kernel.  The
-module also provides a reconstruction used for uniqueness tests,
-weighted-norm scaling reports, per-term trace measures, and the
-measure weight shift: u^m mu for a measure mu (atoms are
-``PiecewisePolynomial`` atoms) through k antiderivatives, normed by
-:meth:`opshift.cov.WeightedTraceMeasure.norm`.
+difference is the integral of f^(m) against a B-spline kernel; a family
+of perturbations V takes one stacked pass.  The module also provides a
+reconstruction used for uniqueness tests, weighted-norm scaling reports,
+per-term trace measures, and the measure weight shift: u^m mu for a
+measure mu (atoms are ``PiecewisePolynomial`` atoms) through k
+antiderivatives, normed by :meth:`opshift.cov.WeightedTraceMeasure.norm`.
 """
 
 from __future__ import annotations
