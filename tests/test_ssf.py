@@ -211,13 +211,6 @@ class TestShiftDensities:
             assert rep.weighted_l1 == rep.scales[0][1]
             assert np.array_equal(rep.density.coeffs, ssf_compute(H, V, rep.order).density.coeffs)
 
-    def test_zero_perturbation_gives_the_zero_density_on_the_hull(self):
-        H = random_hermitian(rng_stream(321, 0), 3, 1.0)
-        rep = weighted_norm_and_scaling(H, HermitianOperator(np.zeros((3, 3))), 2, "even")
-        assert rep.slope is None and rep.weighted_l1 == 0.0
-        assert rep.density.support() == tuple(H.decomposition().eigenvalues[[0, -1]])
-        assert not rep.density.coeffs.any() and rep.density.atoms == ()
-
 
 class TestWeightedNormAndScaling:
     def test_zero_perturbation(self):
@@ -225,6 +218,9 @@ class TestWeightedNormAndScaling:
         rep = weighted_norm_and_scaling(H, HermitianOperator(np.zeros((3, 3))), 2, "odd")
         assert rep.weighted_l1 == pytest.approx(0.0, abs=1e-14)
         assert rep.slope is None
+        # no kernels: the zero density on the spectral hull
+        assert rep.density.support() == tuple(H.decomposition().eigenvalues[[0, -1]])
+        assert not rep.density.coeffs.any() and rep.density.atoms == ()
 
     @pytest.mark.parametrize("t_count", [5, 6, 9, 12])
     def test_small_t_slope_uses_scales_up_to_one_sixteenth(self, t_count):
