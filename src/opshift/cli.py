@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +30,11 @@ import numpy as np
 from .approx import convergence_report, finite_rank_sequence, remainder_sup_experiment, shift_density_convergence
 from .cov import (
     EpsilonSignature,
-    basic_change_of_variables,
-    corollary_expand,
-    cov_expand,
-    cov_scalar_identity,
+    _weight_shift_signature,
+    _weight_shift_values,
+    alternating_signature,
+    cov_expansions,
+    cov_scalar_identities,
     kernel_sum_density,
     trace_via_measure,
 )
@@ -41,7 +42,7 @@ from .ensembles import admissible_family, normalized_bump_family, random_hermiti
 from .errors import ValidationError
 from .linalg import HermitianOperator
 # taylor_remainder stays importable here: bench/tracing.py patches it at this import site
-from .moi import OperatorTuple, perturbation_identity, taylor_remainder  # noqa: F401
+from .moi import OperatorTuple, perturbation_identities, taylor_remainder  # noqa: F401
 from .ssf import _orders_for, remainder_pattern, ssf_compute, verify_trace_formula, weight_exponent_survey, weighted_norm_and_scaling
 
 _PARITIES = {"odd": ("odd",), "even": ("even",), "both": ("odd", "even")}
@@ -129,7 +130,9 @@ class ExperimentConfig:
         return cfg
 
     def resolved(self):
-        return asdict(self)
+        """The fields by name, for the report; the values are the config's
+        own JSON data, not copies."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _deep_update(base, extra, path=""):
@@ -170,61 +173,61 @@ def suite_verify_identities(cfg: ExperimentConfig):
     rng = rng_stream(cfg.seed, 1)
     g = real_rational(rng, 8)
 
-    worst = 0.0
+    # every sample is drawn first, in the stream's order; no evaluation reads
+    # the stream, and each identity then runs over all of its samples at once
+    scalar = []
     for _ in range(cfg.scalar_samples):
         m = int(rng.integers(1, 6))
         eps = _random_signature(rng, m)
-        lam = rng.uniform(-2.5, 2.5, m + 1)
-        _, _, res, scale = cov_scalar_identity(g, eps, lam)
-        worst = max(worst, res / scale)
-    _check(checks, "cov.scalar", "scalar expansion identity, random nodes and signatures", worst, tol["scalar"])
+        scalar.append((eps, rng.uniform(-2.5, 2.5, m + 1)))
 
-    worst = 0.0
+    def draw(dim, m):
+        Hs = random_hermitians(rng, m + 1, dim, 1.0)
+        return Hs, [h.entries for h in random_hermitians(rng, m, dim, 0.8)]
+
+    # the operator, alternating and weight-shift samples are one family of expansions
+    expansions, ends = [], {}
     for _ in range(cfg.operator_samples):
         dim = int(rng.choice(cfg.dims))
         m = int(rng.integers(1, 5))
         eps = _random_signature(rng, m)
-        Hs = random_hermitians(rng, m + 1, dim, 1.0)
-        Vs = [h.entries for h in random_hermitians(rng, m, dim, 0.8)]
-        exp = cov_expand(g, eps, Hs, Vs)
-        worst = max(worst, exp.residual / exp.scale)
-    _check(checks, "cov.operator", "operator expansion along random signatures", worst, tol["identity"])
-
+        expansions.append((eps, *draw(dim, m)))
+    ends["operator"] = len(expansions)
     for parity in ("odd", "even"):
         m, _ = _orders_for(cfg.n, parity)
-        worst = 0.0
         for _ in range(max(1, cfg.operator_samples // 4)):
-            dim = int(rng.choice(cfg.dims))
-            Hs = random_hermitians(rng, m + 1, dim, 1.0)
-            Vs = [h.entries for h in random_hermitians(rng, m, dim, 0.8)]
-            exp = corollary_expand(g, parity, Hs, Vs)
-            worst = max(worst, exp.residual / exp.scale)
-        _check(checks, f"cov.alternating_{parity}", f"alternating-signature decomposition ({parity})", worst, tol["identity"])
+            expansions.append((alternating_signature(m), *draw(int(rng.choice(cfg.dims)), m)))
+        ends[parity] = len(expansions)
 
-    worst = 0.0
+    perturbations = []
     for _ in range(max(1, cfg.operator_samples // 3)):
         dim = int(rng.choice(cfg.dims))
         n_args = int(rng.integers(1, 4))
-        Hs = random_hermitians(rng, n_args + 1, dim, 1.0)
-        Vs = [h.entries for h in random_hermitians(rng, n_args, dim, 0.8)]
+        Hs, Vs = draw(dim, n_args)
         A = Hs[0]
         B = random_hermitian(rng, dim, 1.0)
         slot = int(rng.integers(1, n_args + 2))
         ops = list(Hs)
         ops[slot - 1] = A
-        rep = perturbation_identity(g, OperatorTuple(tuple(ops), tuple(Vs)), A, B, slot)
-        worst = max(worst, rep.residual / rep.scale)
-    _check(checks, "moi.perturbation", "one-slot operator replacement identity", worst, tol["perturbation"])
+        perturbations.append((OperatorTuple(tuple(ops), tuple(Vs)), A, B, slot))
 
-    worst = 0.0
     for variant in ("left", "inner", "right"):
         dim = int(rng.choice(cfg.dims))
         n_args = 3
-        Hs = random_hermitians(rng, n_args + 1, dim, 1.0)
-        Vs = [h.entries for h in random_hermitians(rng, n_args, dim, 0.8)]
         j = 1 if variant == "inner" else None
-        _, _, res, scale = basic_change_of_variables(g, Hs, Vs, variant, j)
-        worst = max(worst, res / scale)
+        expansions.append((_weight_shift_signature(n_args, variant, j), *draw(dim, n_args)))
+
+    worst = max([0.0] + [res / scale for _, _, res, scale in cov_scalar_identities(g, scalar)])
+    _check(checks, "cov.scalar", "scalar expansion identity, random nodes and signatures", worst, tol["scalar"])
+    done = cov_expansions(g, expansions)
+    worst = max([0.0] + [exp.residual / exp.scale for exp in done[: ends["operator"]]])
+    _check(checks, "cov.operator", "operator expansion along random signatures", worst, tol["identity"])
+    for parity, start in (("odd", ends["operator"]), ("even", ends["odd"])):
+        worst = max([0.0] + [exp.residual / exp.scale for exp in done[start : ends[parity]]])
+        _check(checks, f"cov.alternating_{parity}", f"alternating-signature decomposition ({parity})", worst, tol["identity"])
+    worst = max([0.0] + [rep.residual / rep.scale for rep in perturbation_identities(g, perturbations)])
+    _check(checks, "moi.perturbation", "one-slot operator replacement identity", worst, tol["perturbation"])
+    worst = max([0.0] + [res / scale for _, _, res, scale in map(_weight_shift_values, done[ends["even"] :])])
     _check(checks, "moi.weight_shift_single", "single-step resolvent extraction identities", worst, tol["identity"])
     return checks, {}
 

@@ -26,6 +26,7 @@ slot, on which side resolvents are attached.  The machinery here covers
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -35,7 +36,7 @@ import numpy as np
 from .errors import ValidationError
 from .functions import TestFunction, _bspline_levels, _merge_rows, divided_difference, peano_kernel, weight_multiply
 from .linalg import HermitianOperator, _check_poles_off, schatten_norm
-from .moi import _CYCLE_CHUNK, MoiSymbol, OperatorTuple, _chain_chunks, _chain_cores, _chain_fit, _cluster_codes, _cluster_sum, _eigenbasis_factors, _group_rows, check_tuple_budget, moi_eval
+from .moi import _CYCLE_CHUNK, MoiSymbol, OperatorTuple, _by_dim, _chain_chunks, _chain_cores, _chain_fit, _cluster_codes, _cluster_sum, _eigenbasis_factors, _group_rows, _stacked, check_tuple_budget, moi_eval
 from .piecewise import PiecewisePolynomial, _distinct, _joined, _weighted_modulus, integral_against_derivative
 
 __all__ = [
@@ -50,7 +51,9 @@ __all__ = [
     "signature_for_J",
     "alternating_signature",
     "cov_scalar_identity",
+    "cov_scalar_identities",
     "cov_expand",
+    "cov_expansions",
     "corollary_expand",
     "basic_change_of_variables",
     "pJ_alpha",
@@ -181,29 +184,60 @@ def _expansion_terms(eps: EpsilonSignature):
                 yield (-1) ** (m - k), k, k - q + 1, combo
 
 
+@functools.lru_cache(maxsize=256)
+def _term_groups(eps: EpsilonSignature):
+    """The terms of :func:`_expansion_terms` by order k: (sign, k, weight
+    power, index tuples as a read-only (terms, k+1) array), k ascending."""
+    groups = []
+    for k, group in itertools.groupby(_expansion_terms(eps), key=lambda t: t[1]):
+        signs, _, powers, combos = zip(*group)
+        combos = np.array(combos)
+        combos.setflags(write=False)
+        groups.append((signs[0], k, powers[0], combos))
+    return tuple(groups)
+
+
 def cov_scalar_identity(g: TestFunction, eps: EpsilonSignature, lambdas):
-    """Evaluate both sides of the scalar expansion identity at explicit nodes.
+    """Evaluate both sides of the scalar expansion identity at explicit nodes:
+    the batch of one of :func:`cov_scalar_identities`.
 
     Returns (lhs, rhs, residual, scale) where lhs = g^[m](lambdas) and
     rhs is the signed sum over admissible index tuples of weighted
-    divided differences times reciprocal-u factors, one batched divided
-    difference per order k.
+    divided differences times reciprocal-u factors.
     """
-    lam = [float(v) for v in lambdas]
-    if len(eps) != len(lam):
-        raise ValidationError("signature length must match the node count")
-    u_factor = math.prod(
-        (_U_INV(lam[i]) for i in range(len(lam)) if eps[i] != "0"), start=1.0 + 0.0j
-    )
-    lhs = divided_difference(g, lam)
-    nodes, terms = np.array(lam), []
-    for _, group in itertools.groupby(_expansion_terms(eps), key=lambda t: t[1]):
-        signs, _, powers, combos = zip(*group)
-        terms.append(signs[0] * divided_difference(weight_multiply(g, powers[0]), nodes[np.array(combos)]))
-    terms = np.concatenate(terms) * u_factor
-    rhs = complex(terms.sum())
-    scale = 1.0 + abs(lhs) + float(np.abs(terms).sum())
-    return lhs, rhs, abs(lhs - rhs), scale
+    (out,) = cov_scalar_identities(g, [(eps, lambdas)])
+    return out
+
+
+def cov_scalar_identities(g: TestFunction, members):
+    """:func:`cov_scalar_identity` of every member (eps, lambdas) of a
+    family: one batched divided difference per symbol (g u^w)^[k] over the
+    index rows of every member, the left sides g^[m] joining the terms of
+    (k, w) = (m, 0).  A row's value does not depend on its batch."""
+    lams, batches = [], {}
+    for b, (eps, lambdas) in enumerate(members):
+        lam = [float(v) for v in lambdas]
+        if len(eps) != len(lam):
+            raise ValidationError("signature length must match the node count")
+        lams.append(lam)
+        nodes = np.array(lam)
+        batches.setdefault((len(lam) - 1, 0), []).append((b, None, nodes[None]))
+        for _, k, power, combos in _term_groups(eps):
+            batches.setdefault((k, power), []).append((b, k, nodes[combos]))
+    parts = [{} for _ in lams]
+    for (k, power), batch in batches.items():
+        values, at = divided_difference(weight_multiply(g, power), np.concatenate([rows for *_, rows in batch])), 0
+        for b, key, rows in batch:
+            parts[b][key] = values[at : at + len(rows)]
+            at += len(rows)
+    out = []
+    for (eps, _), lam, found in zip(members, lams, parts):
+        lhs = complex(found[None][0])
+        u_factor = math.prod((_U_INV(lam[i]) for i in range(len(lam)) if eps[i] != "0"), start=1.0 + 0.0j)
+        terms = np.concatenate([sign * found[k] for sign, k, _, _ in _term_groups(eps)]) * u_factor
+        rhs = complex(terms.sum())
+        out.append((lhs, rhs, abs(lhs - rhs), 1.0 + abs(lhs) + float(np.abs(terms).sum())))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +284,8 @@ def _dressed_terms(eps: EpsilonSignature, Hs, args):
 
 
 def cov_expand(g: TestFunction, eps: EpsilonSignature, Hs, Vs) -> CovExpansion:
-    """Expand T_{g^[m]}(V_1..V_m) along a signature.
+    """Expand T_{g^[m]}(V_1..V_m) along a signature: the batch of one of
+    :func:`cov_expansions`.
 
     The left side is the plain spectral-sum evaluation.  The right side
     sums the terms of :func:`_expansion_terms` in one eigenbasis pass: with
@@ -262,47 +297,108 @@ def cov_expand(g: TestFunction, eps: EpsilonSignature, Hs, Vs) -> CovExpansion:
     G_{i_{k-1},i_k}; an order-0 core is the diagonal of g u^(1-q) at the
     eigenvalues.
     """
-    m = len(Vs)
-    if len(Hs) != m + 1 or len(eps) != m + 1:
-        raise ValidationError("need m+1 operators and a length-m+1 signature")
-    dim = Hs[0].dim
-    args = [_as_matrix(v) for v in Vs]
-    # checks the poles of g and the budget: every term's tuples are a subset of these
-    lhs = moi_eval(MoiSymbol(g, 0, m), OperatorTuple(tuple(Hs), tuple(args)))
-    decs = [h.decomposition() for h in Hs]
-    # slot 0 is never touched by the expansion products; a placeholder keeps
-    # the checked list aligned with the argument indexing 1..m
-    factors = _eigenbasis_factors(decs, build_check_operators(eps, Hs, [np.zeros((dim, dim))] + args)[1:])
-    G = np.zeros((m + 1, m + 1, dim, dim), dtype=complex)  # G[a, b] = E_{a+1} ... E_b for a < b
-    for a, b in itertools.combinations(range(m + 1), 2):
-        G[a, b] = G[a, b - 1] @ factors[b - 1] if b > a + 1 else factors[a]
-    x0, xm = decs[0].eigenvectors, decs[m].eigenvectors.conj().T
-    # X_0 G_{0,i} and G_{i,m} X_m^* per index i; G_{i,i} = I is skipped
-    left = np.stack([x0 @ G[0, i] if i else x0 for i in range(m + 1)])
-    right = np.stack([G[i, m] @ xm if i < m else xm for i in range(m + 1)])
-    clusters = _cluster_codes(decs)
-    rhs = np.zeros((dim, dim), dtype=complex)
-    terms, stacked = [], []
-    for k, group in itertools.groupby(_expansion_terms(eps), key=lambda t: t[1]):
-        group = list(group)
-        gk = weight_multiply(g, group[0][2])
-        combos = np.array([combo for *_, combo in group])
+    (out,) = cov_expansions(g, [(eps, Hs, Vs)])
+    return out
+
+
+def cov_expansions(g: TestFunction, members) -> list:
+    """:func:`cov_expand` of every member (eps, Hs, Vs) of a family, in one
+    stacked pass per dimension.
+
+    The poles of g on every member's spectra, then every member's budget,
+    are checked before any chain is built (every term's tuples are a subset
+    of the left side's).  Within one dimension the members' decompositions
+    are concatenated and their slots offset: all terms of one (k, weight
+    power) share one :func:`opshift.moi._chain_cores` batch, which the left
+    sides g^[m] join at (k, w) = (m, 0).  The G products and the left and
+    right stacks of the members of one order are stacked matmuls, and all
+    spectral norms of a dimension come from one SVD call.  Each member's
+    expansion does not depend on the rest of its family."""
+    members = [(eps, tuple(Hs), [_as_matrix(v) for v in Vs]) for eps, Hs, Vs in members]
+    for eps, Hs, args in members:
+        if len(Hs) != len(args) + 1 or len(eps) != len(args) + 1:
+            raise ValidationError("need m+1 operators and a length-m+1 signature")
+        OperatorTuple(Hs, args)  # checks the operator types and argument shapes
+        _check_poles_off(g, np.concatenate([h.decomposition().eigenvalues for h in Hs]), "operator spectra")
+    decs = [check_tuple_budget(Hs) for _, Hs, _ in members]
+    out = [None] * len(members)
+    for group in _by_dim([Hs[0].dim for _, Hs, _ in members]):
+        for b, expansion in zip(group, _expansions_of_one_dim(g, [members[b] for b in group], [decs[b] for b in group])):
+            out[b] = expansion
+    return out
+
+
+def _expansions_of_one_dim(g, members, decs):
+    """:func:`cov_expansions` of members (eps, Hs, args) that share one
+    dimension, with their decompositions."""
+    dim = decs[0][0].dim
+    flat = [d for ds in decs for d in ds]
+    offsets = np.cumsum([0] + [len(ds) for ds in decs]).tolist()
+    # per (k, weight power), across members: (member, key, slot rows, factors
+    # per step, left and right stacks).  A term of order k is X_0 G_{0,i_0}
+    # core G_{i_k,m} X_m^* with G[a, b] = E_{a+1} ... E_b (a < b) and
+    # G_{i,i} = I skipped, under key k; the left side is the one chain
+    # 0..m of the plain arguments' factors under (m, 0), key None
+    batches = {}
+    for at in _by_dim([len(args) for _, _, args in members]):
+        m = len(members[at[0]][2])
+        x = np.stack([[d.eigenvectors for d in decs[b]] for b in at])
+        xh = x.conj().swapaxes(-1, -2)
+        plain = xh[:, :-1] @ np.stack([members[b][2] for b in at]) @ x[:, 1:]
+        # slot 0 is never touched by the expansion products; a placeholder keeps
+        # the checked list aligned with the argument indexing 1..m
+        checked = np.stack([build_check_operators(members[b][0], members[b][1], [np.zeros((dim, dim))] + members[b][2])[1:] for b in at])
+        factors = xh[:, :-1] @ checked @ x[:, 1:]
+        G = np.zeros((len(at), m + 1, m + 1, dim, dim), dtype=complex)
+        for a, c in itertools.combinations(range(m + 1), 2):
+            G[:, a, c] = G[:, a, c - 1] @ factors[:, c - 1] if c > a + 1 else factors[:, a]
+        left, right = np.empty_like(G[:, 0]), np.empty_like(G[:, 0])
+        left[:, 0], right[:, m] = x[:, 0], xh[:, m]
+        left[:, 1:] = x[:, :1] @ G[:, 0, 1:]
+        right[:, :m] = G[:, :m, m] @ xh[:, m : m + 1]
+        for j, b in enumerate(at):
+            batches.setdefault((m, 0), []).append((b, None, np.arange(m + 1)[None], list(plain[j, :, None]), x[j, :1], xh[j, m:]))
+            for _, k, power, combos in _term_groups(members[b][0]):
+                steps = [G[j, combos[:, i], combos[:, i + 1]] for i in range(k)]
+                batches.setdefault((k, power), []).append((b, k, combos, steps, left[j, combos[:, 0]], right[j, combos[:, -1]]))
+    clusters = _cluster_codes(flat)
+    parts = [{} for _ in members]
+    for (k, power), batch in batches.items():
+        gk = weight_multiply(g, power)
         if k:
-            cores = _chain_cores(gk, decs, combos, [G[combos[:, j], combos[:, j + 1]] for j in range(k)], clusters)
+            slots = np.concatenate([rows + offsets[b] for b, _, rows, *_ in batch])
+            cores = _chain_cores(gk, flat, slots, [np.concatenate(f) for f in zip(*(steps for *_, steps, _, _ in batch))], clusters)
         else:
-            cores = np.stack([np.diag(np.asarray(gk.eval_deriv(0, decs[i].eigenvalues), dtype=complex)[decs[i].labels]) for i in combos[:, 0]])
-        values = left[combos[:, 0]] @ cores @ right[combos[:, -1]]
-        # every term of order k carries the sign (-1)^(m-k)
-        rhs = rhs + group[0][0] * values.sum(axis=0)
-        stacked.append(values)
-        terms += [ExpansionTerm(sign, k, combo, power, value) for (sign, _, power, combo), value in zip(group, values)]
-    # spectral norms of lhs - rhs, lhs and every term from one stacked call;
-    # the term norms are added in order (sum() compensates from Python 3.12)
-    residual, lhs_norm, *norms = np.linalg.svd(np.concatenate([np.stack([lhs - rhs, lhs])] + stacked), compute_uv=False).max(axis=-1).tolist()
-    mag = 0.0
-    for norm in norms:
-        mag += norm
-    return CovExpansion(tuple(terms), lhs, rhs, residual, 1.0 + lhs_norm + mag)
+            cores = np.stack([np.diag(np.asarray(gk.eval_deriv(0, decs[b][i].eigenvalues), dtype=complex)[decs[b][i].labels]) for b, _, rows, *_ in batch for i in rows[:, 0]])
+        values = np.concatenate([lefts for *_, lefts, _ in batch]) @ cores @ np.concatenate([rights for *_, rights in batch])
+        at = 0
+        for b, key, rows, *_ in batch:
+            parts[b][key] = values[at : at + len(rows)]
+            at += len(rows)
+    expansions, stacked = [], []
+    for (eps, _, _), found in zip(members, parts):
+        (value,) = found[None]
+        rhs = np.zeros((dim, dim), dtype=complex)
+        terms, values = [], []
+        for sign, k, power, combos in _term_groups(eps):
+            part = found[k]
+            # every term of order k carries the sign (-1)^(m-k)
+            rhs = rhs + sign * part.sum(axis=0)
+            values.append(part)
+            terms += [ExpansionTerm(sign, k, combo, power, v) for combo, v in zip(map(tuple, combos.tolist()), part)]
+        expansions.append((tuple(terms), value, rhs))
+        stacked += [np.stack([value - rhs, value])] + values
+    # spectral norms of lhs - rhs, lhs and every term of every member from one
+    # stacked call; the term norms are added in order (sum() compensates from Python 3.12)
+    norms = iter(np.linalg.svd(np.concatenate(stacked), compute_uv=False).max(axis=-1).tolist())
+    out = []
+    for terms, value, rhs in expansions:
+        residual, lhs_norm = next(norms), next(norms)
+        mag = 0.0
+        for _ in terms:
+            mag += next(norms)
+        out.append(CovExpansion(terms, value, rhs, residual, 1.0 + lhs_norm + mag))
+    return out
 
 
 def corollary_expand(f: TestFunction, parity: str, Hs, Vs) -> CovExpansion:
@@ -338,6 +434,11 @@ def basic_change_of_variables(f: TestFunction, Hs, Vs, variant, j=None):
     n = len(Vs)
     if len(Hs) != n + 1:
         raise ValidationError("need n+1 operators")
+    return _weight_shift_values(cov_expand(f, _weight_shift_signature(n, variant, j), Hs, Vs))
+
+
+def _weight_shift_signature(n, variant, j=None):
+    """The one-letter signature of a :func:`basic_change_of_variables` variant."""
     ent = ["0"] * (n + 1)
     if variant == "left":
         ent[0] = "R"
@@ -349,7 +450,11 @@ def basic_change_of_variables(f: TestFunction, Hs, Vs, variant, j=None):
         ent[n] = "L"
     else:
         raise ValidationError("variant must be 'left', 'inner' or 'right'")
-    exp = cov_expand(f, EpsilonSignature(tuple(ent)), Hs, Vs)
+    return EpsilonSignature(tuple(ent))
+
+
+def _weight_shift_values(exp: CovExpansion):
+    """(lhs, rhs, residual, 1 + |lhs| + |rhs|) of a weight-shift expansion."""
     lhs_norm, rhs_norm = np.linalg.svd(np.stack([exp.lhs, exp.rhs]), compute_uv=False).max(axis=-1).tolist()
     return exp.lhs, exp.rhs, exp.residual, 1.0 + lhs_norm + rhs_norm
 
@@ -571,11 +676,6 @@ def _tuple_weights(members):
         weights = _group_sums(group, np.concatenate([w for _, w in groups]), len(keys))
     owner = np.searchsorted(offsets, keys[:, 0], side="right") - 1 if len(values) > 1 else np.zeros(len(keys), dtype=int)
     return _joined(values)[keys], weights, owner
-
-
-def _stacked(arrays):
-    """``np.stack`` of the arrays; one array gets its leading axis as a view."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _group_sums(group, weights, count):

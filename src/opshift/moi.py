@@ -30,9 +30,11 @@ __all__ = [
     "OperatorTuple",
     "check_tuple_budget",
     "moi_eval",
+    "moi_evals",
     "frechet_derivative",
     "taylor_remainder",
     "perturbation_identity",
+    "perturbation_identities",
     "PerturbationReport",
     "TUPLE_BUDGET",
 ]
@@ -109,23 +111,33 @@ _CYCLE_CHUNK = 2**18
 
 
 def _eigenbasis_factors(decs, arguments):
-    """F_k = X_{k-1}^* A_k X_k in the eigenbases X_k of the decompositions."""
-    xs = [d.eigenvectors for d in decs]
-    return [xs[k].conj().T @ arguments[k] @ xs[k + 1] for k in range(len(arguments))]
+    """F_k = X_{k-1}^* A_k X_k in the eigenbases X_k of the decompositions;
+    a repeated (decomposition, argument, decomposition) triple, as on the
+    remainder pattern (H, H+V, H, ..., H), is formed once."""
+    seen, out = {}, []
+    for k, a in enumerate(arguments):
+        key = (id(decs[k]), id(a), id(decs[k + 1]))
+        if key not in seen:
+            seen[key] = decs[k].eigenvectors.conj().T @ a @ decs[k + 1].eigenvectors
+        out.append(seen[key])
+    return out
 
 
 def _cluster_codes(decs):
     """(starts, values, codes): each H_k's first column per cluster, the
     sorted distinct eigenvalues of all the decompositions, and each H_k's
-    cluster nodes as indices into them."""
-    eigenvalues = np.concatenate([d.eigenvalues for d in decs])
+    cluster nodes as indices into them, taken once per distinct
+    decomposition."""
+    distinct = list({id(d): d for d in decs}.values())
+    eigenvalues = np.concatenate([d.eigenvalues for d in distinct])
     values = _distinct(eigenvalues)
-    at, codes = np.searchsorted(values, eigenvalues).astype(np.int32), []
-    for d in decs:
-        codes.append(at[: len(d.eigenvalues)])
+    at, found = np.searchsorted(values, eigenvalues).astype(np.int32), {}
+    for d in distinct:
+        # labels run 0, 0, 1, ...; kept off the decomposition, which a caller may hold long
+        found[id(d)] = np.searchsorted(d.labels, np.arange(len(d.eigenvalues))), at[: len(d.eigenvalues)]
         at = at[len(d.eigenvalues) :]
-    # labels run 0, 0, 1, ...; kept off the decomposition, which a caller may hold long
-    return [np.searchsorted(d.labels, np.arange(len(d.eigenvalues))) for d in decs], values, codes
+    starts, codes = zip(*(found[id(d)] for d in decs))
+    return list(starts), values, list(codes)
 
 
 def _chain_chunks(factors, starts, dim, per_entry, fit=None):
@@ -266,21 +278,54 @@ def _contract_group(f, values, group, cache):
         at += len(hit)
 
 
+def _by_dim(dims):
+    """Indices of the entries of ``dims`` per distinct value, in order of
+    first appearance."""
+    groups = {}
+    for i, d in enumerate(dims):
+        groups.setdefault(d, []).append(i)
+    return groups.values()
+
+
+def moi_evals(symbol: MoiSymbol, optuples) -> list:
+    """:func:`moi_eval` of every tuple of a family, all of the symbol's
+    order p.  The poles of every tuple, then the budget of every tuple,
+    are checked before any chain is built.  For p >= 1 the tuples of one
+    dimension are one batch of :func:`_chain_cores` over their
+    concatenated decompositions; each tuple's value does not depend on the
+    rest of its family."""
+    optuples = list(optuples)
+    p, f = symbol.order, symbol.weighted
+    for t in optuples:
+        if t.order != p:
+            raise ValidationError("symbol order must match the argument count")
+        _check_poles_off(f, np.concatenate([h.decomposition().eigenvalues for h in t.operators]), "operator spectra")
+    if p == 0:
+        return [func_calculus(f, t.operators[0]) for t in optuples]
+    decs = [check_tuple_budget(t.operators) for t in optuples]
+    out = [None] * len(optuples)
+    for members in _by_dim([t.dim for t in optuples]):
+        flat = [d for i in members for d in decs[i]]
+        factors = [_stacked(a) for a in zip(*(_eigenbasis_factors(decs[i], optuples[i].arguments) for i in members))]
+        cores = _chain_cores(f, flat, np.arange(len(flat)).reshape(len(members), p + 1), factors)
+        first, last = (np.stack([decs[i][k].eigenvectors for i in members]) for k in (0, p))
+        for i, value in zip(members, first @ cores @ last.conj().swapaxes(1, 2)):
+            out[i] = value
+    return out
+
+
+def _stacked(arrays):
+    """``np.stack`` of the arrays; one array gets its leading axis as a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 def moi_eval(symbol: MoiSymbol, optuple: OperatorTuple) -> np.ndarray:
     """Exact spectral-sum evaluation of the operator integral: the batch of
-    one chain of :func:`_chain_cores` over the eigenbasis factors of the
-    arguments gives core[i_0, i_p]; returns X_0 core X_p^*, every reduction
-    in a fixed order."""
-    p = optuple.order
-    if symbol.order != p:
-        raise ValidationError("symbol order must match the argument count")
-    f = symbol.weighted
-    _check_poles_off(f, np.concatenate([h.decomposition().eigenvalues for h in optuple.operators]), "operator spectra")
-    if p == 0:
-        return func_calculus(f, optuple.operators[0])
-    decs = check_tuple_budget(optuple.operators)
-    (core,) = _chain_cores(f, decs, [range(p + 1)], [a[None] for a in _eigenbasis_factors(decs, optuple.arguments)])
-    return decs[0].eigenvectors @ core @ decs[p].eigenvectors.conj().T
+    one of :func:`moi_evals`, one chain of :func:`_chain_cores` over the
+    eigenbasis factors of the arguments giving core[i_0, i_p]; returns
+    X_0 core X_p^*, every reduction in a fixed order."""
+    (out,) = moi_evals(symbol, [optuple])
+    return out
 
 
 def frechet_derivative(f: TestFunction, H: HermitianOperator, V, k: int) -> np.ndarray:
@@ -320,36 +365,55 @@ class PerturbationReport:
 
 
 def perturbation_identity(f: TestFunction, optuple: OperatorTuple, A: HermitianOperator, B: HermitianOperator, slot: int) -> PerturbationReport:
-    """One-slot operator replacement identity.
+    """One-slot operator replacement identity: the batch of one of
+    :func:`perturbation_identities`.
 
     ``optuple`` is the full left-hand configuration with ``A`` at operator
     position ``slot`` (1-based); the difference against the same integral
     with ``B`` in that position equals one order-(n+1) integral carrying
     the extra argument A - B next to the A, B pair.
     """
-    n = optuple.order
-    if not (1 <= slot <= n + 1):
-        raise ValidationError("slot must lie in 1..n+1")
-    ops = list(optuple.operators)
-    if ops[slot - 1] is not A and not np.array_equal(ops[slot - 1].entries, A.entries):
-        raise ValidationError("tuple must carry A at the requested slot")
-    if A.dim != B.dim or A.dim != optuple.dim:
-        raise ValidationError("dimension mismatch")
-    args = list(optuple.arguments)
-    sym_n = MoiSymbol(f, 0, n)
-    lhs_a = moi_eval(sym_n, optuple)
-    ops_b = list(ops)
-    ops_b[slot - 1] = B
-    lhs_b = moi_eval(sym_n, OperatorTuple(tuple(ops_b), tuple(args)))
-    ops_r = ops[:slot] + [B] + ops[slot:]
-    args_r = args[: slot - 1] + [A.entries - B.entries] + args[slot - 1 :]
-    rhs = moi_eval(MoiSymbol(f, 0, n + 1), OperatorTuple(tuple(ops_r), tuple(args_r)))
-    # the four spectral norms from one stacked call
-    residual, norm_a, norm_b, norm_r = np.linalg.svd(np.stack([lhs_a - lhs_b - rhs, lhs_a, lhs_b, rhs]), compute_uv=False).max(axis=-1).tolist()
-    return PerturbationReport(
-        residual=residual,
-        scale=1.0 + norm_a + norm_b + norm_r,
-        lhs_a=lhs_a,
-        lhs_b=lhs_b,
-        rhs=rhs,
-    )
+    (out,) = perturbation_identities(f, [(optuple, A, B, slot)])
+    return out
+
+
+def perturbation_identities(f: TestFunction, members) -> list:
+    """:func:`perturbation_identity` of every member (optuple, A, B, slot)
+    of a family.  The budgets of all three integrals of every member are
+    checked before any chain is built; the integrals of one order, across
+    all members, are one :func:`moi_evals` call, and the four spectral
+    norms of every member of one dimension come from one stacked SVD."""
+    tuples = []  # lhs_a, lhs_b and rhs per member
+    for optuple, A, B, slot in members:
+        n = optuple.order
+        if not (1 <= slot <= n + 1):
+            raise ValidationError("slot must lie in 1..n+1")
+        ops = list(optuple.operators)
+        if ops[slot - 1] is not A and not np.array_equal(ops[slot - 1].entries, A.entries):
+            raise ValidationError("tuple must carry A at the requested slot")
+        if A.dim != B.dim or A.dim != optuple.dim:
+            raise ValidationError("dimension mismatch")
+        args = list(optuple.arguments)
+        ops_b = list(ops)
+        ops_b[slot - 1] = B
+        ops_r = ops[:slot] + [B] + ops[slot:]
+        args_r = args[: slot - 1] + [A.entries - B.entries] + args[slot - 1 :]
+        tuples += [optuple, OperatorTuple(tuple(ops_b), tuple(args)), OperatorTuple(tuple(ops_r), tuple(args_r))]
+    for t in tuples:
+        check_tuple_budget(t.operators)
+    values = [None] * len(tuples)
+    for order in sorted({t.order for t in tuples}):
+        at = [i for i, t in enumerate(tuples) if t.order == order]
+        for i, value in zip(at, moi_evals(MoiSymbol(f, 0, order), [tuples[i] for i in at])):
+            values[i] = value
+    out = [None] * (len(tuples) // 3)
+    for group in _by_dim([t.dim for t in tuples[::3]]):
+        mats = []
+        for b in group:
+            lhs_a, lhs_b, rhs = values[3 * b : 3 * b + 3]
+            mats += [lhs_a - lhs_b - rhs, lhs_a, lhs_b, rhs]
+        norms = np.linalg.svd(np.stack(mats), compute_uv=False).max(axis=-1).reshape(len(group), 4).tolist()
+        for b, (residual, norm_a, norm_b, norm_r) in zip(group, norms):
+            lhs_a, lhs_b, rhs = values[3 * b : 3 * b + 3]
+            out[b] = PerturbationReport(residual=residual, scale=1.0 + norm_a + norm_b + norm_r, lhs_a=lhs_a, lhs_b=lhs_b, rhs=rhs)
+    return out

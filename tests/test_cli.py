@@ -11,9 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opshift import cli, cov
+from opshift import cli, cov, moi
 from opshift.cli import ExperimentConfig, main
-from opshift.ensembles import rng_stream
+from opshift.cov import basic_change_of_variables, corollary_expand, cov_expand, cov_scalar_identity
+from opshift.ensembles import random_hermitian, random_hermitians, real_rational, rng_stream
+from opshift.moi import OperatorTuple, perturbation_identity
+from opshift.ssf import _orders_for
 from opshift.errors import ValidationError
 from opshift.piecewise import PiecewisePolynomial
 
@@ -146,6 +149,45 @@ class TestSuites:
         assert report["pass"] is True
         ids = {c["id"] for c in report["suites"]["verify-identities"]["checks"]}
         assert "cov.scalar" in ids and "moi.perturbation" in ids
+
+    @pytest.mark.parametrize("seed", [100, 101, 102])
+    def test_verify_identities_families_give_the_checks_of_one_call_per_sample(self, seed):
+        assert cli.suite_verify_identities(ExperimentConfig.load(None, seed)) == (_verify_identities_one_at_a_time(ExperimentConfig.load(None, seed)), {})
+
+    def test_verify_identities_takes_one_batch_per_symbol_order_and_dim(self, tmp_path, monkeypatch):
+        # within each identity family, every (symbol, order, dim) group makes
+        # one chain batch and one divided-difference call, the scalar
+        # identity one call per (symbol, order)
+        where, chains, calls = {"family": None, "dim": None}, [], []
+
+        def family(name, fn):
+            def run(*args):
+                where["family"] = name
+                return fn(*args)
+
+            monkeypatch.setattr(cli, name, run)
+
+        def chain_cores(original):
+            def run(f, decs, slots, *args):
+                where["dim"] = decs[0].dim
+                chains.append((where["family"], f, np.shape(slots)[1] - 1, decs[0].dim))
+                try:
+                    return original(f, decs, slots, *args)
+                finally:
+                    where["dim"] = None
+
+            return run
+
+        for name in ("cov_scalar_identities", "cov_expansions", "perturbation_identities"):
+            family(name, getattr(cli, name))
+        for module in (moi, cov):
+            monkeypatch.setattr(module, "_chain_cores", chain_cores(module._chain_cores))
+            dd = module.divided_difference
+            monkeypatch.setattr(module, "divided_difference", lambda f, rows, dd=dd: calls.append((where["family"], f, np.shape(rows)[-1] - 1, where["dim"])) or dd(f, rows))
+        cli.run("verify-identities", ExperimentConfig.load(None, 100), tmp_path)
+        assert {family for family, *_ in chains} == {"cov_expansions", "perturbation_identities"}
+        assert {family for family, *_ in calls} == {"cov_scalar_identities", "cov_expansions", "perturbation_identities"}
+        assert len(chains) <= len(set(chains)) and len(calls) <= len(set(calls))
 
     def test_ssf_scalar_density_artifacts(self, tmp_path):
         out = tmp_path / "out"
@@ -299,3 +341,58 @@ class TestStartup:
 
         meta = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())["project"]
         assert [re.match(r"[\w.-]+", dep).group() for dep in meta["dependencies"]] == ["numpy"]
+
+
+def _verify_identities_one_at_a_time(cfg):
+    """The checks of the verify-identities suite from one batch-of-one call
+    per sample, drawing and evaluating each sample in turn."""
+    checks, tol = [], cfg.tolerances
+    rng = rng_stream(cfg.seed, 1)
+    g = real_rational(rng, 8)
+    worst = 0.0
+    for _ in range(cfg.scalar_samples):
+        m = int(rng.integers(1, 6))
+        eps = cli._random_signature(rng, m)
+        _, _, res, scale = cov_scalar_identity(g, eps, rng.uniform(-2.5, 2.5, m + 1))
+        worst = max(worst, res / scale)
+    cli._check(checks, "cov.scalar", "scalar expansion identity, random nodes and signatures", worst, tol["scalar"])
+    worst = 0.0
+    for _ in range(cfg.operator_samples):
+        dim = int(rng.choice(cfg.dims))
+        m = int(rng.integers(1, 5))
+        eps = cli._random_signature(rng, m)
+        Hs = random_hermitians(rng, m + 1, dim, 1.0)
+        exp = cov_expand(g, eps, Hs, [h.entries for h in random_hermitians(rng, m, dim, 0.8)])
+        worst = max(worst, exp.residual / exp.scale)
+    cli._check(checks, "cov.operator", "operator expansion along random signatures", worst, tol["identity"])
+    for parity in ("odd", "even"):
+        m, _ = _orders_for(cfg.n, parity)
+        worst = 0.0
+        for _ in range(max(1, cfg.operator_samples // 4)):
+            dim = int(rng.choice(cfg.dims))
+            Hs = random_hermitians(rng, m + 1, dim, 1.0)
+            exp = corollary_expand(g, parity, Hs, [h.entries for h in random_hermitians(rng, m, dim, 0.8)])
+            worst = max(worst, exp.residual / exp.scale)
+        cli._check(checks, f"cov.alternating_{parity}", f"alternating-signature decomposition ({parity})", worst, tol["identity"])
+    worst = 0.0
+    for _ in range(max(1, cfg.operator_samples // 3)):
+        dim = int(rng.choice(cfg.dims))
+        n_args = int(rng.integers(1, 4))
+        Hs = random_hermitians(rng, n_args + 1, dim, 1.0)
+        Vs = [h.entries for h in random_hermitians(rng, n_args, dim, 0.8)]
+        A, B = Hs[0], random_hermitian(rng, dim, 1.0)
+        slot = int(rng.integers(1, n_args + 2))
+        ops = list(Hs)
+        ops[slot - 1] = A
+        rep = perturbation_identity(g, OperatorTuple(tuple(ops), tuple(Vs)), A, B, slot)
+        worst = max(worst, rep.residual / rep.scale)
+    cli._check(checks, "moi.perturbation", "one-slot operator replacement identity", worst, tol["perturbation"])
+    worst = 0.0
+    for variant in ("left", "inner", "right"):
+        dim = int(rng.choice(cfg.dims))
+        Hs = random_hermitians(rng, 4, dim, 1.0)
+        Vs = [h.entries for h in random_hermitians(rng, 3, dim, 0.8)]
+        _, _, res, scale = basic_change_of_variables(g, Hs, Vs, variant, 1 if variant == "inner" else None)
+        worst = max(worst, res / scale)
+    cli._check(checks, "moi.weight_shift_single", "single-step resolvent extraction identities", worst, tol["identity"])
+    return checks

@@ -917,3 +917,112 @@ class TestOnePassExpansion:
         monkeypatch.setattr(moi, "TUPLE_BUDGET", 80)
         with pytest.raises(BudgetError):
             cov_expand(rational_from_poles([2j, -1 - 1j]), alternating_signature(3), Hs, Vs)
+
+
+_WEIGHT_SHIFTS = ("left", "inner", "right")
+
+
+def _assert_same_expansion(got, ref):
+    assert np.array_equal(got.lhs, ref.lhs) and np.array_equal(got.rhs, ref.rhs)
+    assert got.residual == ref.residual and got.scale == ref.scale
+    assert [(t.sign, t.k, t.indices, t.weight_power) for t in got.terms] == [(t.sign, t.k, t.indices, t.weight_power) for t in ref.terms]
+    assert all(np.array_equal(a.value, b.value) for a, b in zip(got.terms, ref.terms))
+
+
+def _expansion_family(seed, count=16, dims=(1, 2, 3, 5)):
+    """(kind, eps, Hs, Vs) along random, alternating and weight-shift
+    signatures (kind "random", "alternating" or the weight-shift variant),
+    over dims {1, 2, 3, 5} mixed in one family.  Every other member of
+    dim >= 3 has an H_0 with a double eigenvalue, so its group holds two
+    cluster shapes."""
+    rng = rng_stream(seed, 0)
+    members = []
+    for i in range(count):
+        dim, kind = dims[i % len(dims)], ("random", "alternating", _WEIGHT_SHIFTS[i % 3])[(i // len(dims)) % 3]
+        if kind in _WEIGHT_SHIFTS:
+            m, eps = 3, cov._weight_shift_signature(3, kind, 1)
+        else:
+            m = int(rng.integers(1, 5))
+            eps = random_signature(rng, m) if kind == "random" else alternating_signature(m)
+        Hs, Vs = ops_and_args(int(rng.integers(1 << 30)), dim, m)
+        if dim >= 3 and i % 2:
+            Hs[0] = _spectral(rng, np.concatenate([[-0.5, -0.5], np.linspace(0.2, 0.9, dim - 2)]))
+            assert len(Hs[0].decomposition().eigenvalues) == dim - 1
+        members.append((kind, eps, Hs, Vs))
+    return members
+
+
+class TestIdentityFamilies:
+    """Each member of a stacked identity family against its batch of one, bit for bit."""
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_scalar_members_match_their_batch_of_one(self, m):
+        rng = rng_stream(900 + m, 0)
+        g = rational_from_poles([2j, -1 - 1.5j, 1 + 2j, -0.5 - 1j])
+        # m leads; the other orders ride along in the same family
+        members = [(random_signature(rng, k), rng.uniform(-2.5, 2.5, k + 1)) for k in [m] * 8 + [1, 2, 3, 4, 5] * 4]
+        for got, member in zip(cov.cov_scalar_identities(g, members), members):
+            assert got == cov_scalar_identity(g, *member)
+
+    def test_scalar_family_takes_one_divided_difference_per_symbol(self, monkeypatch):
+        rng = rng_stream(906, 0)
+        g = rational_from_poles([2j, -1 - 1.5j, 1 + 2j, -0.5 - 1j])
+        members = [(random_signature(rng, m), rng.uniform(-2.5, 2.5, m + 1)) for m in [1, 2, 3, 4, 5] * 8]
+        calls = []
+        dd = cov.divided_difference
+        monkeypatch.setattr(cov, "divided_difference", lambda f, rows: calls.append((f, np.shape(rows)[-1])) or dd(f, rows))
+        cov.cov_scalar_identities(g, members)
+        # the left sides g^[m] join the terms of the same symbol
+        groups = {(g, m + 1) for m in range(1, 6)}
+        groups |= {(weight_multiply(g, power), k + 1) for eps, _ in members for _, k, power, _ in cov._term_groups(eps)}
+        assert len(calls) == len(groups) and set(calls) == groups
+
+    @pytest.mark.parametrize("kind", ["rational", "polynomial"])
+    def test_expansion_members_match_their_batch_of_one(self, kind):
+        g = rational_from_poles([2j, -1 - 1.5j, 1 + 2j]) if kind == "rational" else PolynomialFunction((0.5, -1.0, 0.0, 2.0, 1.0))
+        members = _expansion_family(910)
+        family = cov.cov_expansions(g, [member[1:] for member in members])
+        assert {kind for kind, *_ in members} == {"random", "alternating", *_WEIGHT_SHIFTS}
+        for (kind, eps, Hs, Vs), got in zip(members, family):
+            _assert_same_expansion(got, cov_expand(g, eps, Hs, Vs))
+            if kind == "alternating":
+                _assert_same_expansion(got, corollary_expand(g, "odd" if len(Vs) % 2 else "even", Hs, Vs))
+            if kind in _WEIGHT_SHIFTS:
+                lhs, rhs, residual, scale = basic_change_of_variables(g, Hs, Vs, kind, 1 if kind == "inner" else None)
+                got_lhs, got_rhs, got_residual, got_scale = cov._weight_shift_values(got)
+                assert np.array_equal(got_lhs, lhs) and np.array_equal(got_rhs, rhs)
+                assert (got_residual, got_scale) == (residual, scale)
+
+    def test_sub_stacks_match_the_batch_of_one(self, monkeypatch):
+        g = rational_from_poles([2j, -1 - 1.5j, 1 + 2j])
+        members = [member[1:] for member in _expansion_family(920)]
+        alone = [cov_expand(g, *member) for member in members]
+        stacks = []
+        chain_chunks = moi._chain_chunks
+        monkeypatch.setattr(moi, "_chain_chunks", lambda factors, *a: stacks.append(len(factors[0])) or chain_chunks(factors, *a))
+        monkeypatch.setattr(moi, "_CYCLE_CHUNK", 1)  # one chain per sub-stack, one cluster of H_0 per chunk
+        for got, ref in zip(cov.cov_expansions(g, members), alone):
+            _assert_same_expansion(got, ref)
+        assert stacks and set(stacks) == {1}
+
+    def test_one_chain_batch_per_symbol_order_and_dim(self, monkeypatch):
+        g = rational_from_poles([2j, -1 - 1.5j, 1 + 2j])
+        members = [member[1:] for member in _expansion_family(930, count=24)]
+        calls = []
+        chain_cores = cov._chain_cores
+        monkeypatch.setattr(cov, "_chain_cores", lambda f, decs, slots, *a: calls.append((f, np.shape(slots)[1] - 1, decs[0].dim)) or chain_cores(f, decs, slots, *a))
+        cov.cov_expansions(g, members)
+        groups = {(g, len(Vs), Hs[0].dim) for _, Hs, Vs in members}
+        groups |= {(weight_multiply(g, power), k, Hs[0].dim) for eps, Hs, _ in members for _, k, power, _ in cov._term_groups(eps) if k}
+        assert len(calls) == len(groups) and set(calls) == groups
+
+    def test_an_over_budget_member_stops_the_family_before_any_chain(self, monkeypatch):
+        def guarded(*args):
+            pytest.fail("a family with an over-budget member built a chain block")
+
+        members = [member[1:] for member in _expansion_family(940)]
+        big = random_hermitian(rng_stream(940, 9), 16, 1.0)
+        members.append((alternating_signature(6), [big] * 7, [np.eye(16)] * 6))  # 16^7 cluster tuples
+        monkeypatch.setattr(moi, "_chain_block", guarded)
+        with pytest.raises(BudgetError):
+            cov.cov_expansions(rational_from_poles([2j, -1 - 1j]), members)

@@ -15,6 +15,8 @@ from opshift.moi import (
     OperatorTuple,
     frechet_derivative,
     moi_eval,
+    moi_evals,
+    perturbation_identities,
     perturbation_identity,
     taylor_remainder,
 )
@@ -368,3 +370,97 @@ class TestPerturbationIdentity:
             ops.insert(slot - 1, A)
             rep = perturbation_identity(f, OperatorTuple(tuple(ops), Vs), A, B, slot)
             assert rep.residual <= 1e-10 * rep.scale
+
+
+def _family_tuples(seed, p, dims=(1, 2, 3, 5), count=12):
+    """Order-p tuples over dims {1, 2, 3, 5} mixed in one family; every
+    other member of dim >= 3 has an H_0 with a double eigenvalue, so its
+    group holds two cluster shapes."""
+    rng = rng_stream(seed, 0)
+    tuples = []
+    for i in range(count):
+        dim = dims[i % len(dims)]
+        Hs, Vs = _distinct_slots(int(rng.integers(1 << 30)), dim, p)
+        if dim >= 3 and i % 2:
+            Hs[0] = _conjugated(rng, np.concatenate([[-0.5, -0.5], np.linspace(0.2, 0.9, dim - 2)]))
+            assert len(Hs[0].decomposition().eigenvalues) == dim - 1
+        tuples.append(OperatorTuple(tuple(Hs), tuple(Vs)))
+    return tuples
+
+
+def _perturbation_family(seed, dims=(1, 2, 3, 5), count=12):
+    """(optuple, A, B, slot) with n = 1..3 arguments and every slot, drawn
+    as the verify-identities suite draws them, dims mixed, and A clustered
+    on every other member of dim >= 3."""
+    rng = rng_stream(seed, 1)
+    members = []
+    for i in range(count):
+        dim, n = dims[i % len(dims)], 1 + i % 3
+        Hs, Vs = _distinct_slots(int(rng.integers(1 << 30)), dim, n)
+        A = _conjugated(rng, np.concatenate([[-0.5, -0.5], np.linspace(0.2, 0.9, dim - 2)])) if dim >= 3 and i % 2 else Hs[0]
+        slot = int(rng.integers(1, n + 2))
+        ops = list(Hs)
+        ops[slot - 1] = A
+        members.append((OperatorTuple(tuple(ops), tuple(Vs)), A, random_hermitian(rng, dim, 1.0), slot))
+    return members
+
+
+def _assert_same_report(got, ref):
+    assert got.residual == ref.residual and got.scale == ref.scale
+    assert np.array_equal(got.lhs_a, ref.lhs_a) and np.array_equal(got.lhs_b, ref.lhs_b) and np.array_equal(got.rhs, ref.rhs)
+
+
+class TestFamilies:
+    """Each member of a stacked moi_evals or perturbation_identities family
+    against its batch of one, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["rational", "polynomial"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_moi_evals_match_moi_eval(self, p, kind):
+        symbol = MoiSymbol(_SYMBOLS[kind], 1, p)
+        tuples = _family_tuples(950 + p, p)
+        for got, t in zip(moi_evals(symbol, tuples), tuples):
+            assert np.array_equal(got, moi_eval(symbol, t))
+
+    def test_moi_evals_take_one_chain_batch_per_dim(self, monkeypatch):
+        calls = []
+        chain_cores = moi._chain_cores
+        monkeypatch.setattr(moi, "_chain_cores", lambda f, decs, *a: calls.append(decs[0].dim) or chain_cores(f, decs, *a))
+        moi_evals(MoiSymbol(_SYMBOLS["rational"], 0, 3), _family_tuples(955, 3))
+        assert sorted(calls) == [1, 2, 3, 5]
+
+    def test_perturbation_members_match_their_batch_of_one(self):
+        f = rational_from_poles([2j, -1 - 1.5j, 1 + 2j])
+        members = _perturbation_family(960)
+        for got, member in zip(perturbation_identities(f, members), members):
+            _assert_same_report(got, perturbation_identity(f, *member))
+
+    def test_sub_stacks_match_the_batch_of_one(self, monkeypatch):
+        f = rational_from_poles([2j, -1 - 1.5j, 1 + 2j])
+        members = _perturbation_family(970)
+        alone = [perturbation_identity(f, *member) for member in members]
+        symbol = MoiSymbol(f, 0, 3)
+        tuples = _family_tuples(971, 3)
+        alone_evals = [moi_eval(symbol, t) for t in tuples]
+        stacks = []
+        chain_chunks = moi._chain_chunks
+        monkeypatch.setattr(moi, "_chain_chunks", lambda factors, *a: stacks.append(len(factors[0])) or chain_chunks(factors, *a))
+        monkeypatch.setattr(moi, "_CYCLE_CHUNK", 1)  # one chain per sub-stack, one cluster of H_0 per chunk
+        for got, ref in zip(perturbation_identities(f, members), alone):
+            _assert_same_report(got, ref)
+        assert all(np.array_equal(got, ref) for got, ref in zip(moi_evals(symbol, tuples), alone_evals))
+        assert stacks and set(stacks) == {1}
+
+    def test_an_over_budget_member_stops_the_family_before_any_chain(self, monkeypatch):
+        def guarded(*args):
+            pytest.fail("a family with an over-budget member built a chain block")
+
+        f = rational_from_poles([2j, -1 - 1j])
+        big = random_hermitian(rng_stream(980, 9), 16, 1.0)
+        tuples = _family_tuples(980, 6, dims=(1, 2)) + [OperatorTuple((big,) * 7, (np.eye(16),) * 6)]  # 16^7 cluster tuples
+        members = _perturbation_family(981) + [(OperatorTuple((big,) * 5, (np.eye(16),) * 4), big, big, 3)]  # 16^5, its rhs 16^6
+        monkeypatch.setattr(moi, "_chain_block", guarded)
+        with pytest.raises(BudgetError):
+            moi_evals(MoiSymbol(f, 0, 6), tuples)
+        with pytest.raises(BudgetError):
+            perturbation_identities(f, members)
