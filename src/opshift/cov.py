@@ -18,8 +18,10 @@ slot, on which side resolvents are attached.  The machinery here covers
 * the constructive trace measure: the trace of U_0 T_{g^[m]}(U_1..U_m)
   as an integral of g^(m) u^(m+2) against an explicit piecewise density,
   whose tuple weights come from one cycle product in the eigenbases of
-  the H_k and whose divided-difference kernels are folded in one array
-  pass, for one operator tuple or a stacked family of them, and
+  the H_k (:func:`opshift.moi._tuple_weights`, on the chains that the
+  operator integrals walk) and whose divided-difference kernels are
+  folded in one array pass, for one operator tuple or a stacked family
+  of them, and
 * the remainder traces Tr R_m(f; H, V) of a whole function family from
   one set of closed-cycle weights per perturbation and order.
 """
@@ -36,8 +38,8 @@ import numpy as np
 from .errors import ValidationError
 from .functions import TestFunction, _bspline_levels, _merge_rows, divided_difference, peano_kernel, weight_multiply
 from .linalg import HermitianOperator, _check_poles_off, schatten_norm
-from .moi import _CYCLE_CHUNK, MoiSymbol, OperatorTuple, _by_dim, _chain_chunks, _chain_cores, _chain_fit, _cluster_codes, _cluster_sum, _eigenbasis_factors, _group_rows, _stacked, check_tuple_budget, moi_eval
-from .piecewise import PiecewisePolynomial, _distinct, _joined, _weighted_modulus, integral_against_derivative
+from .moi import _CYCLE_CHUNK, MoiSymbol, OperatorTuple, _as_matrix, _by_dim, _chain_cores, _cluster_codes, _group_sums, _tuple_weights, check_tuple_budget, moi_eval
+from .piecewise import PiecewisePolynomial, _distinct, _weighted_modulus, integral_against_derivative
 
 __all__ = [
     "EpsilonSignature",
@@ -66,10 +68,6 @@ __all__ = [
 ]
 
 _U_INV = lambda lam: 1.0 / (lam - 1j)
-
-
-def _as_matrix(u):
-    return np.asarray(u.entries if isinstance(u, HermitianOperator) else u, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -577,9 +575,9 @@ def eigen_tuple_density(U0, Us, Hs):
 
     The batch of one of :func:`eigen_tuple_densities`: the weights of all
     eigenvalue-cluster tuples come from one cycle product in the eigenbases
-    (:func:`_tuple_weights`), which raises ``BudgetError`` before any work
-    on over-budget enumerations.  They are grouped by node multiset, and
-    the kernels of all multisets are folded in one array pass
+    (:func:`opshift.moi._tuple_weights`), which raises ``BudgetError``
+    before any work on over-budget enumerations.  They are grouped by node
+    multiset, and the kernels of all multisets are folded in one array pass
     (:func:`_fold_kernels`).
     Returns (density, total_kernel_weight).
     """
@@ -620,82 +618,16 @@ def kernel_sum_density(U0, Us, Hs):
     return _sum_kernels(nodes, weights, len(Us), _hull(Hs))
 
 
-def _tuple_weights(members):
-    """Tr(U_0 P_{j0} U_1 ... U_m P_{jm}) summed by sorted node multiset, for
-    every member (U_0, [U_1..U_m], [H_0..H_m]) of one order m: each open
-    chain of :func:`opshift.moi._chain_chunks` closed by Z[i_m,i_0],
-    Z = X_m^* U_0 X_0, with i_m and i_0 summed into their clusters.  On the
-    remainder pattern (H_m is H_0, U_0 = I) Z is exactly I, so only the
-    cycles j_m = j_0 carry weight.
-
-    Members whose operators have equal cluster starts slot by slot are
-    contracted as one stacked array, as many at a time as the chunk bound
-    allows (at least one).  Each member's node codes are offset past those
-    of the members before it, so one row grouping keeps the members apart.
-    Returns (nodes, weights, owner): the distinct sorted node rows, shape
-    (kernels, m+1), ascending within each member and in member order, their
-    summed complex weights, and each row's member; cluster tuples of weight
-    exactly 0 are left out.  Every member's budget is checked before any
-    contraction."""
-    m = len(members[0][1])
-    stacks, offsets, values = {}, [], []
-    for U0, Us, Hs in members:
-        if len(Us) != m or len(Hs) != m + 1:
-            raise ValidationError("need m+1 operators, and one order for every member")
-        u0, decs = _as_matrix(U0), check_tuple_budget(Hs)
-        starts, vals, codes = _cluster_codes(decs)
-        dim, offset = len(u0), sum(map(len, values))
-        remainder = Hs[-1] is Hs[0] and np.array_equal(u0, np.eye(dim))
-        closing = np.eye(dim, dtype=complex) if remainder else decs[-1].eigenvectors.conj().T @ u0 @ decs[0].eigenvectors
-        stack = stacks.setdefault((dim,) + tuple(s.tobytes() for s in starts), (starts, decs[0].labels, []))
-        stack[2].append((_eigenbasis_factors(decs, [_as_matrix(u) for u in Us]), [closing], [c + offset for c in codes] if offset else codes))
-        offsets.append(offset)
-        values.append(vals)
-    groups = []
-    for starts, labels, batch in stacks.values():
-        dim = len(labels)
-        fit = _chain_fit(starts, dim, 1)
-        for first in range(0, len(batch), max(1, fit)):
-            sub = batch[first : first + max(1, fit)]
-            # per slot, the members' factors, closing factors and node codes, stacked
-            factors, (closing,), table = ([_stacked(a) for a in zip(*part)] for part in zip(*sub))
-            for lo, hi, chain in _chain_chunks(factors, starts, dim, 1, fit // len(sub)):
-                if m:
-                    close = closing.transpose(0, 2, 1)[:, lo:hi].reshape((len(sub), hi - lo) + (1,) * (m - 1) + (dim,))
-                    block = _cluster_sum(chain * close, starts[m], -1)
-                else:
-                    block = np.diagonal(closing, axis1=1, axis2=2)[:, lo:hi]
-                block = _cluster_sum(block, starts[0][(starts[0] >= lo) & (starts[0] < hi)] - lo, 1)
-                hit = np.nonzero(block)  # (member, j_0 - first cluster of the chunk, j_1, ..., j_m)
-                rows = np.stack([table[0][hit[0], labels[lo] + hit[1]]] + [table[k][hit[0], hit[k + 1]] for k in range(1, m + 1)], axis=1)
-                keys, group = _group_rows(rows)
-                groups.append((keys, _group_sums(group, block[hit], len(keys))))
-    keys, weights = groups[0]
-    if len(groups) > 1:
-        keys, group = _group_rows(np.concatenate([k for k, _ in groups]))
-        weights = _group_sums(group, np.concatenate([w for _, w in groups]), len(keys))
-    owner = np.searchsorted(offsets, keys[:, 0], side="right") - 1 if len(values) > 1 else np.zeros(len(keys), dtype=int)
-    return _joined(values)[keys], weights, owner
-
-
-def _group_sums(group, weights, count):
-    """Complex weights summed by group, in input order within each group."""
-    sums = np.empty(count, dtype=complex)
-    sums.real = np.bincount(group, weights.real, count)
-    sums.imag = np.bincount(group, weights.imag, count)
-    return sums
-
-
 def remainder_traces(fs, H: HermitianOperator, Vs, m: int) -> np.ndarray:
     """Tr R_m(f; H, V) = Tr f(H+V) - sum_{k<m} Tr T_{f^[k]}(V, ..., V) for
     every V in Vs (rows) and f in fs (columns).
 
     The traces are linear in f with weights that depend on (H, V, k) only:
     each order k builds the closed-cycle weights of every V in one stacked
-    :func:`_tuple_weights` pass on the all-H pattern (the closing factor is
-    I), order 0 with the multiplicities of every H + V's clusters for
-    Tr f(H+V); each (f, k) takes one divided difference over the node rows
-    of every V.  The subtraction keeps the round-off of Tr f(H+V), about
+    :func:`opshift.moi._tuple_weights` pass on the all-H pattern (the
+    closing factor is I), order 0 with the multiplicities of every H + V's
+    clusters for Tr f(H+V); each (f, k) takes one divided difference over
+    the node rows of every V.  The subtraction keeps the round-off of Tr f(H+V), about
     1e-16 of sum |f(lambda_j)| at any size of V; the remainder integral of
     :mod:`opshift.ssf` and ``taylor_remainder(method="moi")`` avoid it.
     """

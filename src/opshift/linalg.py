@@ -146,7 +146,7 @@ class SpectralDecomposition:
         return self.eigenvectors.shape[0]
 
     def multiplicities(self):
-        return [int(round(np.real(np.trace(p)))) for p in self.projections]
+        return np.bincount(self.labels, minlength=len(self.eigenvalues)).tolist()
 
     def reconstruct(self):
         out = np.zeros_like(self.projections[0])

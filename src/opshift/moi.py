@@ -8,7 +8,9 @@ sum over eigenvalue-cluster tuples,
 
 which eigenbasis chains evaluate: for :func:`moi_eval` a batch of one
 chain, for the expansions of :mod:`opshift.cov` a batch per symbol, and,
-closed into cycles, for its density weights.  On top sit higher-order operator
+closed into cycles, for the density weights of a family of perturbations.
+One generator walks every batch in stacked chunks, and one coder turns a
+chunk's nonzero entries into node rows.  On top sit higher-order operator
 derivatives, Taylor remainders in direct and integral forms, and the
 one-slot perturbation identity.
 """
@@ -60,6 +62,10 @@ class MoiSymbol:
         return self._weighted
 
 
+def _as_matrix(u):
+    return np.asarray(u.entries if isinstance(u, HermitianOperator) else u, dtype=complex)
+
+
 @dataclass(frozen=True)
 class OperatorTuple:
     """Operators H_0..H_p with arguments V_1..V_p."""
@@ -69,7 +75,7 @@ class OperatorTuple:
 
     def __post_init__(self):
         ops = tuple(self.operators)
-        args = tuple(np.asarray(v.entries if isinstance(v, HermitianOperator) else v, dtype=complex) for v in self.arguments)
+        args = tuple(_as_matrix(v) for v in self.arguments)
         if len(ops) < 1:
             raise ValidationError("need at least one operator")
         if len(args) != len(ops) - 1:
@@ -124,28 +130,29 @@ def _eigenbasis_factors(decs, arguments):
 
 
 def _cluster_codes(decs):
-    """(starts, values, codes): each H_k's first column per cluster, the
-    sorted distinct eigenvalues of all the decompositions, and each H_k's
-    cluster nodes as indices into them, taken once per distinct
-    decomposition."""
+    """(starts, values, table, K): each H_k's first column per cluster, the
+    sorted distinct eigenvalues of all the decompositions, and per H_k a row
+    of node codes (indices into ``values``), its clusters' from column 0 and
+    its eigenvector columns' from column K on, once per distinct H_k."""
     distinct = list({id(d): d for d in decs}.values())
     eigenvalues = np.concatenate([d.eigenvalues for d in distinct])
     values = _distinct(eigenvalues)
     at, found = np.searchsorted(values, eigenvalues).astype(np.int32), {}
-    for d in distinct:
+    K = max(len(d.eigenvalues) for d in distinct)
+    table = np.zeros((len(distinct), K + max(d.dim for d in distinct)), dtype=np.int32)
+    for row, d in zip(table, distinct):
         # labels run 0, 0, 1, ...; kept off the decomposition, which a caller may hold long
-        found[id(d)] = np.searchsorted(d.labels, np.arange(len(d.eigenvalues))), at[: len(d.eigenvalues)]
-        at = at[len(d.eigenvalues) :]
-    starts, codes = zip(*(found[id(d)] for d in decs))
-    return list(starts), values, list(codes)
+        found[id(d)] = d.labels.searchsorted(np.arange(len(d.eigenvalues))), len(found)
+        c, at = at[: len(d.eigenvalues)], at[len(d.eigenvalues) :]
+        row[: len(c)], row[K : K + d.dim] = c, c[d.labels]
+    starts, rows = zip(*(found[id(d)] for d in decs))
+    return list(starts), values, table.take(rows, axis=0), K
 
 
-def _chain_chunks(factors, starts, dim, per_entry, fit=None):
-    """(lo, hi, _chain_block) per chunk of whole clusters of H_0 (the block
-    is None for p = 0), whose widest array holds ``_CYCLE_CHUNK //
-    per_entry`` elements or one cluster; ``starts`` holds the cluster starts
-    of H_0..H_p, and ``fit`` is :func:`_chain_fit` if already known."""
-    fit = _chain_fit(starts, dim, per_entry) if fit is None else fit
+def _chain_chunks(factors, starts, dim, fit):
+    """(lo, hi, _chain_block) per chunk of ``max(1, fit)`` whole clusters of
+    H_0 (the block is None for p = 0); ``starts`` holds the cluster starts
+    of H_0..H_p."""
     edges, count = np.append(starts[0], dim), len(starts[0])
     bounds = [(edges[j], edges[min(j + max(1, fit), count)]) for j in range(0, count, max(1, fit))]
     return ((lo, hi, _chain_block(factors, starts, lo, hi) if len(factors) else None) for lo, hi in bounds)
@@ -168,13 +175,42 @@ def _chain_block(factors, starts, lo, hi):
     chain = factors[0][..., lo:hi, :]
     for k in range(1, len(factors)):
         f = factors[k]
-        chain = _cluster_sum(chain[..., None] * f.reshape(f.shape[:-2] + (1,) * k + f.shape[-2:]), starts[k], -2)
+        chain = chain[..., None] * f.reshape(f.shape[:-2] + (1,) * k + f.shape[-2:])
+        if len(starts[k]) < chain.shape[-2]:  # the runs of columns of a cluster, summed
+            chain = np.add.reduceat(chain, starts[k], axis=-2)
     return chain
 
 
-def _cluster_sum(a, starts, axis):
-    """Sum the runs of entries along ``axis`` that start at ``starts``."""
-    return a if len(starts) == a.shape[axis] else np.add.reduceat(a, starts, axis=axis)
+def _chain_stacks(starts, slots, factors, dim, per_entry):
+    """(chains, lo, hi, chain) per chunk of a batch of chains of one
+    dimension, chain c over the operators ``slots[c]`` with factors[k][c]
+    between them: chains with equal cluster starts slot by slot stacked,
+    as many as :func:`_chain_fit` allows (at least one), each stack in the
+    chunks of :func:`_chain_chunks`.  ``chains`` picks the stack's rows of
+    ``slots`` (a slice when the whole batch is one stack)."""
+    shapes, rows, stacks = [s.tobytes() for s in starts], slots.tolist(), {}
+    for c, row in enumerate(rows):
+        stacks.setdefault(tuple(shapes[k] for k in row), []).append(c)
+    for members in stacks.values():
+        ends = [starts[k] for k in rows[members[0]]]
+        fit = _chain_fit(ends, dim, per_entry)
+        for first in range(0, len(members), max(1, fit)):
+            chains = members[first : first + max(1, fit)]
+            size, chains = len(chains), slice(None) if len(chains) == len(slots) else chains
+            for lo, hi, chain in _chain_chunks([a[chains] for a in factors], ends, dim, fit // size):
+                yield chains, lo, hi, chain
+
+
+def _chain_rows(table, K, stack, lo, block):
+    """(nonzero entries, node-code rows) of a chunk block[c, i_0 - lo, j_1,
+    ..., j_{p-1}, i_p] of the chains over the operators ``stack[c]``: the
+    open ends coded by eigenvector column, the inner axes by cluster, in
+    rows of ``table`` (:func:`_cluster_codes`)."""
+    hit = np.flatnonzero(block)
+    ix = np.unravel_index(hit, block.shape)
+    # a block [c, i_0 - lo] of p = 0 has one end
+    where = np.array([K + lo + ix[1], *ix[2:-1], K + ix[-1]][: block.ndim - 1]).T
+    return hit, table[stack.take(ix[0], axis=0), where]
 
 
 def _group_rows(rows):
@@ -191,6 +227,14 @@ def _group_rows(rows):
     return rows[first], group
 
 
+def _group_sums(group, weights, count):
+    """Complex weights summed by group, in input order within each group."""
+    sums = np.empty(count, dtype=complex)
+    sums.real = np.bincount(group, weights.real, count)
+    sums.imag = np.bincount(group, weights.imag, count)
+    return sums
+
+
 def _chain_cores(f, decs, slots, factors, clusters=None):
     """core[c, i_0, i_p] per chain c of a batch under one symbol f^[p],
     p >= 1, as a (chains, dim, dim) array.  Chain c runs over the operators
@@ -199,65 +243,40 @@ def _chain_cores(f, decs, slots, factors, clusters=None):
     X_{slots[c, p]}^* is its operator integral.  ``clusters`` is
     :func:`_cluster_codes` of ``decs``, computed here if not given.
 
-    Chains whose operators have equal cluster starts slot by slot are
-    contracted as one stacked array, as many at a time as the chunk bound
-    below allows.  The chunks of all stacks are contracted in groups, each
-    closed by the chunk that brings it to ``_CYCLE_CHUNK // (16 (p+1))``
-    entries, with one :func:`divided_difference` call per group over its
-    distinct rows.  A batch that closes in one group takes their values
-    straight from the call, a longer one caches them across its groups.
-    Callers check the budget first."""
+    The chains are walked in the stacked chunks of :func:`_chain_stacks`.
+    The chunks are contracted in groups, each closed by the chunk that
+    brings it to ``_CYCLE_CHUNK // (16 (p+1))`` entries, with one
+    :func:`divided_difference` call per group over its distinct rows.  A
+    batch that closes in one group takes their values straight from the
+    call, a longer one caches them across its groups.  Callers check the
+    budget first."""
     slots = np.asarray(slots)
     p = slots.shape[1] - 1
     # chunks 16(p+1) times smaller: each entry carries p+1 node codes through sorted copies
     per_entry, dim = 16 * (p + 1), decs[0].dim
-    starts, values, codes = clusters or _cluster_codes(decs)
-    # node codes of H_k in row k: its clusters' first, then its eigenvector columns' from column K on
-    K = max(len(c) for c in codes)
-    table = np.zeros((len(decs), K + dim), dtype=np.int32)
-    for row, c, d in zip(table, codes, decs):
-        row[: len(c)], row[K:] = c, c[d.labels]
-    shapes = [s.tobytes() for s in starts]
-    stacks = {}
-    for c, row in enumerate(slots.tolist()):
-        stacks.setdefault(tuple(shapes[k] for k in row), []).append(c)
+    starts, values, table, K = clusters or _cluster_codes(decs)
     cores = np.zeros((len(slots), dim, dim), dtype=complex)
-    cache, group, size, outs = None, [], 0, []
-    for members in stacks.values():
-        ends = [starts[k] for k in slots[members[0]]]
-        fit = _chain_fit(ends, dim, per_entry)
-        per_stack = max(1, fit)
-        for first in range(0, len(members), per_stack):
-            idx = members[first : first + per_stack]
-            if len(idx) == len(slots):  # the whole batch in one stack
-                idx = slice(None)
-            stack = slots[idx]
-            out = np.zeros((len(stack), dim, dim), dtype=complex)
-            outs.append((idx, out))
-            for lo, hi, chain in _chain_chunks([a[idx] for a in factors], ends, dim, per_entry, fit // len(stack)):
-                hit = np.flatnonzero(chain)
-                ix = np.unravel_index(hit, chain.shape)  # (chain, i_0 - lo, j_1, ..., j_{p-1}, i_p)
-                where = np.stack([K + lo + ix[1], *ix[2:-1], K + ix[-1]], axis=1)
-                group.append((out[:, lo:hi], chain, hit, table[stack[ix[0]], where]))
-                size += chain.size
-                # a group is contracted once it reaches the bound, before the next chunk is built
-                if size >= _CYCLE_CHUNK // per_entry:
-                    cache = {} if cache is None else cache
-                    _contract_group(f, values, group, cache)
-                    group, size = [], 0
+    cache, group, size = None, [], 0
+    for chains, lo, hi, chain in _chain_stacks(starts, slots, factors, dim, per_entry):
+        group.append((cores, (chains, slice(lo, hi)), chain, *_chain_rows(table, K, slots[chains], lo, chain)))
+        size += chain.size
+        # a group is contracted once it reaches the bound, before the next chunk is built
+        if size >= _CYCLE_CHUNK // per_entry:
+            cache = {} if cache is None else cache
+            _contract_group(f, values, group, cache)
+            group, size = [], 0
     if group:
         _contract_group(f, values, group, cache)
-    for idx, out in outs:
-        cores[idx] = out
     return cores
 
 
 def _contract_group(f, values, group, cache):
-    """Each (core rows, stacked chain, nonzero entries, node-code rows) of a
-    group: the chain weighted by f^[p] at each entry's nodes, summed over
-    its inner axes, from one :func:`divided_difference` call over the
-    group's distinct rows, or those of them not yet in ``cache`` when one
-    is given (a row's value does not depend on the rest of its call)."""
+    """Each (cores, index of its rows, stacked chain, nonzero entries, node-code
+    rows) of a group: the chain weighted by f^[p] at each entry's nodes,
+    summed over its inner axes, from one :func:`divided_difference` call
+    over the group's distinct rows, or those of them not yet in ``cache``
+    when one is given (a row's value does not depend on the rest of its
+    call)."""
     keys, which = _group_rows(np.concatenate([rows for *_, rows in group]))
     if cache is None:
         vals = divided_difference(f, values[keys])[which]
@@ -268,14 +287,60 @@ def _contract_group(f, values, group, cache):
             cache.update(zip([rows[i] for i in fresh], divided_difference(f, values[keys[fresh]])))
         vals = np.array([cache[row] for row in rows])[which]
     at = 0
-    for out, chain, hit, _ in group:
+    for cores, index, chain, hit, _ in group:
         if len(hit) == chain.size:
             terms = vals[at : at + len(hit)].reshape(chain.shape) * chain
         else:
             terms = np.zeros(chain.shape, dtype=complex)
             terms.flat[hit] = vals[at : at + len(hit)] * chain.flat[hit]
-        out[...] = terms.sum(axis=tuple(range(2, chain.ndim - 1)))
+        cores[index] = terms.sum(axis=tuple(range(2, chain.ndim - 1)))
         at += len(hit)
+
+
+def _tuple_weights(members):
+    """Tr(U_0 P_{j0} U_1 ... U_m P_{jm}) summed by sorted node multiset, for
+    every member (U_0, [U_1..U_m], [H_0..H_m]) of one order m: each open
+    chain of :func:`_chain_stacks` closed by Z[i_m, i_0], Z = X_m^* U_0 X_0,
+    its entries summed by node row.  On the remainder pattern (H_m is H_0,
+    U_0 = I) Z is exactly I, so only the cycles j_m = j_0 carry weight.
+
+    All members' decompositions take one :func:`_cluster_codes` call, and
+    member b's node codes are offset by b V, V = len(values), so one row
+    grouping keeps the members apart.  Returns (nodes, weights, owner): the
+    distinct sorted node rows, shape (kernels, m+1), ascending within each
+    member and in member order, their summed complex weights, and each
+    row's member; chain entries of weight exactly 0 are left out.  Every
+    member's budget is checked before any contraction."""
+    m, decs, closings = len(members[0][1]), [], []
+    for U0, Us, Hs in members:
+        if len(Us) != m or len(Hs) != m + 1:
+            raise ValidationError("need m+1 operators, and one order for every member")
+        u0, ds = _as_matrix(U0), check_tuple_budget(Hs)
+        remainder = Hs[-1] is Hs[0] and np.array_equal(u0, np.eye(len(u0)))
+        closings.append(np.eye(len(u0), dtype=complex) if remainder else ds[-1].eigenvectors.conj().T @ u0 @ ds[0].eigenvectors)
+        decs.append(ds)
+    starts, values, table, K = _cluster_codes([d for ds in decs for d in ds])
+    V, every = len(values), np.arange(len(members) * (m + 1))
+    table = table + every[:, None] // (m + 1) * V  # int64: b V passes 2^31 long before the codes do
+    groups = []
+    for at in _by_dim([len(z) for z in closings]):
+        dim, slots = len(closings[at[0]]), every.reshape(-1, m + 1).take(at, axis=0)
+        factors = [_stacked(a) for a in zip(*(_eigenbasis_factors(decs[b], [_as_matrix(u) for u in members[b][1]]) for b in at))]
+        closing = _stacked([closings[b] for b in at])
+        for chains, lo, hi, chain in _chain_stacks(starts, slots, factors, dim, 1):
+            z = closing[chains]
+            if m:
+                block = chain * z.transpose(0, 2, 1)[:, lo:hi].reshape((len(z), hi - lo) + (1,) * (m - 1) + (dim,))
+            else:
+                block = np.diagonal(z, axis1=1, axis2=2)[:, lo:hi]
+            hit, rows = _chain_rows(table, K, slots[chains], lo, block)
+            keys, group = _group_rows(rows)
+            groups.append((keys, _group_sums(group, block.reshape(-1)[hit], len(keys))))
+    keys, weights = groups[0]
+    if len(groups) > 1:
+        keys, group = _group_rows(np.concatenate([k for k, _ in groups]))
+        weights = _group_sums(group, np.concatenate([w for _, w in groups]), len(keys))
+    return values[keys % V], weights, keys[:, 0] // V
 
 
 def _by_dim(dims):

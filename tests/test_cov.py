@@ -752,6 +752,38 @@ class TestStackedDensities:
             assert np.array_equal(got.breakpoints, ref.breakpoints)
             assert float(np.max(np.abs(got.coeffs - ref.coeffs), initial=0.0)) <= 1e-14 * _member_scale(ref, ref_total)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_members_of_two_dims_with_equal_cluster_starts(self, m):
+        # a d = 2 H with distinct eigenvalues and a d = 3 H with a double one
+        # both start their clusters at [0, 1]; all-H general pattern
+        rng = rng_stream(260 + m, 0)
+        members = []
+        for H in (_spectral(rng, [-0.5, 0.6]), _spectral(rng, [-0.5, 0.4, 0.4])):
+            d = H.dim
+            Us = [random_hermitian(rng, d, 0.8).entries for _ in range(m)]
+            members.append((rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)), Us, [H] * (m + 1)))
+        assert [list(H.decomposition().labels) for _, _, (H, *_) in members] == [[0, 1], [0, 1, 1]]
+        nodes, weights, owner = cov._tuple_weights(members)
+        stacked = cov.eigen_tuple_densities(members)
+        for b, ((density, total), member) in enumerate(zip(stacked, members)):
+            ref_nodes, ref_weights, _ = cov._tuple_weights([member])
+            assert np.array_equal(nodes[owner == b], ref_nodes) and np.array_equal(weights[owner == b], ref_weights)
+            alone, alone_total = eigen_tuple_density(*member)
+            assert np.array_equal(density.breakpoints, alone.breakpoints)
+            assert float(np.max(np.abs(density.coeffs - alone.coeffs), initial=0.0)) <= 1e-14 * _member_scale(alone, alone_total)
+            assert total == pytest.approx(alone_total, rel=1e-14, abs=0.0)
+
+    def test_chunked_remainder_traces_match_one_pass(self, monkeypatch):
+        # one cluster of H per chunk, order 0 (the clusters of every H + V) included
+        rng = rng_stream(270, 0)
+        H = _spectral(rng, [-0.7, 0.2, 0.2, 0.9])
+        Vs = [random_hermitian(rng, 4, norm) for norm in (0.5, 0.1, 0.02)]
+        fs = [rational_from_poles([2j, -1 - 1.5j, 1 + 2j]), GaussianFunction(0.1, 0.6)]
+        whole = cov.remainder_traces(fs, H, Vs, 4)
+        monkeypatch.setattr(moi, "_CYCLE_CHUNK", 1)
+        chunked = cov.remainder_traces(fs, H, Vs, 4)
+        assert np.all(np.abs(chunked - whole) <= 1e-14 * np.abs(whole))
+
     def test_an_over_budget_member_stops_the_stack_before_any_work(self, monkeypatch):
         def guarded(*args):
             pytest.fail("a stack with an over-budget member contracted a chain")
