@@ -42,8 +42,8 @@ from .ensembles import admissible_family, normalized_bump_family, random_hermiti
 from .errors import ValidationError
 from .linalg import HermitianOperator
 # taylor_remainder stays importable here: bench/tracing.py patches it at this import site
-from .moi import OperatorTuple, perturbation_identities, taylor_remainder  # noqa: F401
-from .ssf import _orders_for, remainder_pattern, ssf_compute, verify_trace_formula, weight_exponent_survey, weighted_norm_and_scaling
+from .moi import OperatorTuple, perturbation_identities, remainder_pattern, taylor_remainder  # noqa: F401
+from .ssf import _orders_for, ssf_compute, verify_trace_formula, weight_exponent_survey, weighted_norm_and_scaling
 
 _PARITIES = {"odd": ("odd",), "even": ("even",), "both": ("odd", "even")}
 

@@ -752,9 +752,8 @@ def trace_via_measure(U0, g: TestFunction, Us, Hs) -> TraceMeasureReport:
     residual = abs(trace_direct - integral)
     scale = 1.0 + abs(trace_direct) + total_weight * max(1.0, g.sup_deriv(m, *_hull(Hs)))
     measure_norm = measure.norm()
-    # with J empty, r = 0 and the Schatten index n of pJ_alpha has no effect
-    report = pJ_alpha([u0] + mats, list(Hs), (), (float(m + 1),) * (m + 1), 2)
-    ratio = measure_norm / report.p_value if report.p_value > 0 else math.inf if measure_norm > 0 else 0.0
+    p_value = math.prod(schatten_norm(u, m + 1) for u in [u0] + mats)
+    ratio = measure_norm / p_value if p_value > 0 else math.inf if measure_norm > 0 else 0.0
     return TraceMeasureReport(
         measure=measure,
         trace=trace_direct,
@@ -762,7 +761,7 @@ def trace_via_measure(U0, g: TestFunction, Us, Hs) -> TraceMeasureReport:
         residual=residual,
         scale=scale,
         measure_norm=measure_norm,
-        p_value=report.p_value,
+        p_value=p_value,
         ratio=ratio,
     )
 

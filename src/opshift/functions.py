@@ -153,30 +153,24 @@ class RationalFunction(TestFunction):
     def times_u(self, power=1):
         if power == 0:
             return self
-        return self._times_factor(_U_ROOT, -power)
-
-    def _times_factor(self, z, m):
-        fac = dict()
-        for zz, mm in self.factors:
-            fac[complex(zz)] = fac.get(complex(zz), 0) + mm
-        fac[complex(z)] = fac.get(complex(z), 0) + m
-        factors = tuple((zz, mm) for zz, mm in sorted(fac.items(), key=lambda t: (t[0].real, t[0].imag)) if mm != 0)
-        return RationalFunction(factors, self.scale)
+        return RationalFunction(_product_factors(self.factors, [(_U_ROOT, -power)]), self.scale)
 
     def multiply(self, other: "RationalFunction"):
-        out = self
-        for z, m in other.factors:
-            out = out._times_factor(z, m)
-        return RationalFunction(out.factors, out.scale * other.scale)
+        return RationalFunction(_product_factors(self.factors, other.factors), self.scale * other.scale)
+
+
+def _product_factors(*factor_lists):
+    """Factors of a product: exponents of equal z summed, zeros dropped, sorted by (Re z, Im z)."""
+    fac = dict()
+    for factors in factor_lists:
+        for z, m in factors:
+            fac[complex(z)] = fac.get(complex(z), 0) + m
+    return tuple((z, m) for z, m in sorted(fac.items(), key=lambda t: (t[0].real, t[0].imag)) if m != 0)
 
 
 def rational_from_poles(poles, scale=1.0):
     """Product of simple reciprocal factors prod (x - z)^(-1)."""
-    fac = dict()
-    for z in poles:
-        fac[complex(z)] = fac.get(complex(z), 0) + 1
-    factors = tuple(sorted(fac.items(), key=lambda t: (t[0].real, t[0].imag)))
-    return RationalFunction(factors, scale)
+    return RationalFunction(_product_factors([(z, 1) for z in poles]), scale)
 
 
 @dataclass(frozen=True)
@@ -206,11 +200,7 @@ class GaussianFunction(TestFunction):
         return _polyval(q, s) * np.exp(-(s**2) / (2.0 * w2))
 
     def times_u(self, power=1):
-        q = np.asarray(self.prefactor, dtype=complex)
-        for _ in range(power):
-            # u(x) = (x - center) + (center - i) in the local variable
-            q = _polymul(q, [self.center - 1j, 1.0])
-        return GaussianFunction(self.center, self.width, tuple(q))
+        return GaussianFunction(self.center, self.width, _times_u(self.prefactor, self.center, power))
 
 
 @dataclass(frozen=True)
@@ -266,11 +256,7 @@ class BumpFunction(TestFunction):
         return out
 
     def times_u(self, power=1):
-        q = np.asarray(self.prefactor, dtype=complex)
-        mid = 0.5 * (self.a + self.b)
-        for _ in range(power):
-            q = _polymul(q, [mid - 1j, 1.0])
-        return BumpFunction(self.a, self.b, self.smoothness, tuple(q))
+        return BumpFunction(self.a, self.b, self.smoothness, _times_u(self.prefactor, 0.5 * (self.a + self.b), power))
 
 
 def bump(a, b, smoothness=4, prefactor=None):
@@ -307,10 +293,16 @@ class PolynomialFunction(TestFunction):
         return _polyval(_polyder(c, order) if order else c, x)
 
     def times_u(self, power=1):
-        c = np.asarray(self.coefficients, dtype=complex)
-        for _ in range(power):
-            c = _polymul(c, [-1j, 1.0])
-        return PolynomialFunction(tuple(c))
+        # shift -0.0: the factor -0.0 - 1j is the literal -1j to the bit (0.0 - 1j has real part +0.0)
+        return PolynomialFunction(_times_u(self.coefficients, -0.0, power))
+
+
+def _times_u(coeffs, shift, power):
+    """Ascending coefficients in s = x - shift times u^power, u(x) = x - i = s + shift - i."""
+    c = np.asarray(coeffs, dtype=complex)
+    for _ in range(power):
+        c = _polymul(c, [shift - 1j, 1.0])
+    return tuple(c)
 
 
 @lru_cache(maxsize=32)

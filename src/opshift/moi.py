@@ -11,8 +11,8 @@ chain, for the expansions of :mod:`opshift.cov` a batch per symbol, and,
 closed into cycles, for the density weights of a family of perturbations.
 One generator walks every batch in stacked chunks, and one coder turns a
 chunk's nonzero entries into node rows.  On top sit higher-order operator
-derivatives, Taylor remainders in direct and integral forms, and the
-one-slot perturbation identity.
+derivatives, the remainder pattern (H, H+V, H, ..., H), Taylor remainders
+in direct and integral forms, and the one-slot perturbation identity.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "moi_eval",
     "moi_evals",
     "frechet_derivative",
+    "remainder_pattern",
     "taylor_remainder",
     "perturbation_identity",
     "perturbation_identities",
@@ -400,12 +401,16 @@ def frechet_derivative(f: TestFunction, H: HermitianOperator, V, k: int) -> np.n
     return moi_eval(MoiSymbol(f, 0, k), OperatorTuple((H,) * (k + 1), (V,) * k))
 
 
+def remainder_pattern(H: HermitianOperator, V: HermitianOperator, m: int):
+    """Operators (H, H+V, H, ..., H) and m copies of V: the order-m Taylor remainder's one integral."""
+    return (H, H + V) + (H,) * (m - 1), (V.entries,) * m
+
+
 def taylor_remainder(f: TestFunction, H: HermitianOperator, V: HermitianOperator, n: int, method="direct") -> np.ndarray:
     """f(H+V) minus its order-(n-1) operator Taylor polynomial.
 
     method="direct" subtracts the derivative terms; method="moi"
-    evaluates the single operator integral with operator pattern
-    (H, H+V, H, ..., H) and n copies of V.
+    evaluates the single operator integral on :func:`remainder_pattern`.
     """
     if n < 1:
         raise ValidationError("remainder order must be at least 1")
@@ -415,8 +420,7 @@ def taylor_remainder(f: TestFunction, H: HermitianOperator, V: HermitianOperator
             out = out - frechet_derivative(f, H, V.entries, k)
         return out
     if method == "moi":
-        ops = (H, H + V) + (H,) * (n - 1)
-        return moi_eval(MoiSymbol(f, 0, n), OperatorTuple(ops, (V.entries,) * n))
+        return moi_eval(MoiSymbol(f, 0, n), OperatorTuple(*remainder_pattern(H, V, n)))
     raise ValidationError("method must be 'direct' or 'moi'")
 
 

@@ -489,7 +489,7 @@ def _weight_reach(lo, hi):
     return 0.5 * (1.0 + nearest)
 
 
-def _real_roots(rows, counts=None):
+def _real_roots(rows, counts):
     """(row index, root) of the real roots of each real coefficient row,
     ascending by row.
 
@@ -497,8 +497,8 @@ def _real_roots(rows, counts=None):
     per companion size; leading coefficients below 1e-12 of a row's largest
     are dropped as noise first, and a row of lower degree than the highest
     in its block is multiplied by a power of its variable, which only adds
-    candidates at 0.  ``counts`` splits the rows into consecutive blocks
-    (by default they form one), so a row's roots depend on its block alone.
+    candidates at 0.  ``counts`` splits the rows into consecutive blocks,
+    so a row's roots depend on its block alone.
     Three Newton steps on the full row then polish each real candidate,
     since a small leading coefficient leaves the companion's eigenvalues
     inaccurate.
@@ -509,12 +509,9 @@ def _real_roots(rows, counts=None):
     keep = np.flatnonzero(deg > 0)
     if not len(keep):
         return np.zeros(0, dtype=int), np.zeros(0)
-    if counts is None or len(counts) == 1:
-        groups = [(keep, int(deg[keep].max()))]
-    else:
-        counts = np.array([c for c in counts if c])
-        size = np.repeat(np.maximum.reduceat(deg, np.cumsum(counts) - counts), counts)[keep]
-        groups = [(keep[size == top], top) for top in _distinct(size).tolist()]
+    counts = np.array([c for c in counts if c])
+    size = np.repeat(np.maximum.reduceat(deg, np.cumsum(counts) - counts), counts)[keep]
+    groups = [(keep[size == top], top) for top in _distinct(size).tolist()]
     found = []
     for sel, top in groups:
         src = np.arange(top + 1) - (top - deg[sel])[:, None]

@@ -7,11 +7,12 @@ trace formula
 
 where R_m(f) is the order-m Taylor remainder of f(H+V).  On matrices
 eta_m is an exact piecewise polynomial: the remainder is one operator
-integral with operator pattern (H, H+V, H, ..., H), its trace is a sum
-of eigen-tuple weights times divided differences, and each divided
-difference is the integral of f^(m) against a B-spline kernel; a family
-of perturbations V takes one stacked pass.  The module also provides a
-reconstruction used for uniqueness tests, weighted-norm scaling reports,
+integral on :func:`opshift.moi.remainder_pattern` (re-imported here),
+its trace is a sum of eigen-tuple weights times divided differences,
+and each divided difference is the integral of f^(m) against a B-spline
+kernel; a family of perturbations V takes one stacked pass.  The module
+also provides a reconstruction from trace data (its design matrix in
+closed form) for uniqueness tests, weighted-norm scaling reports,
 per-term trace measures, and the measure weight shift: u^m mu for a
 measure mu (atoms are ``PiecewisePolynomial`` atoms) through k
 antiderivatives, normed by :meth:`opshift.cov.WeightedTraceMeasure.norm`.
@@ -31,7 +32,7 @@ from .errors import ValidationError
 from .functions import PolynomialFunction, TestFunction, bump, class_membership, weight_multiply
 from .linalg import HermitianOperator, schatten_norm
 # moi_eval stays importable here: bench/tracing.py patches it at this import site
-from .moi import moi_eval  # noqa: F401
+from .moi import moi_eval, remainder_pattern  # noqa: F401
 # weighted_abs_integral stays importable here: bench/tracing.py patches it at this import site
 from .piecewise import PiecewisePolynomial, integral_against_derivative, weighted_abs_integral, weighted_abs_integrals, _distinct, _shift_rows  # noqa: F401
 
@@ -88,12 +89,6 @@ class SpectralShiftDensity:
 
     def __call__(self, x):
         return np.real(self.density(x))
-
-
-def remainder_pattern(H: HermitianOperator, V: HermitianOperator, m: int):
-    """Operator tuple (H, H+V, H, ..., H) with m copies of V."""
-    ops = (H, H + V) + (H,) * (m - 1)
-    return ops, (V.entries,) * m
 
 
 def ssf_compute(H: HermitianOperator, V: HermitianOperator, m: int) -> SpectralShiftDensity:
@@ -355,18 +350,19 @@ def reconstruct_density(H, V, m) -> SpectralShiftDensity:
             u1 = max(lo + pad, mid - 0.025 * span)
             u2 = min(hi - pad, mid + 0.025 * span)
         bumps.append(bump(u1, u2, smoothness=m + 2))
-    # a bump with no grid point inside its support is blind: its row and
-    # its trace vanish exactly, and quadrature would leave only round-off
+    # a bump with no grid point inside its support is blind: its row and its trace vanish
     bumps = [f for f in bumps if np.any((grid > f.a) & (grid < f.b))]
-    A = np.zeros((len(bumps), n_basis))
     y = np.real(remainder_traces(bumps, H, [V], m)[0])
-    for r, f in enumerate(bumps):
-        for i0 in range(n_int):
-            for d in range(m):
-                basis = PiecewisePolynomial(
-                    grid[i0 : i0 + 2], (np.eye(m, dtype=complex)[d],)
-                )
-                A[r, i0 * m + d] = float(np.real(integral_against_derivative(f, m, basis)))
+    # A[r, i m + d] = integral of f_r^(m) (x - c_i)^d over interval i (midpoint c_i), by parts
+    # sum_{j <= d} (-1)^j d!/(d-j)! [f_r^(m-1-j)(x) (x - c_i)^(d-j)] at its ends: exact for C^(m+2) bumps
+    derivs = np.array([[np.real(f.eval_deriv(k, grid)) for k in range(m)] for f in bumps])
+    half = 0.5 * np.diff(grid)
+    A = np.zeros((len(bumps), n_int, m))
+    for d in range(m):
+        for j in range(d + 1):
+            ends = derivs[:, m - 1 - j]
+            A[:, :, d] += (-1) ** j * math.perm(d, j) * (ends[:, 1:] * half ** (d - j) - ends[:, :-1] * (-half) ** (d - j))
+    A = A.reshape(len(bumps), n_basis)
     # two-sided equilibration, then a minimum-norm solve with the singular
     # spectrum truncated at the noise floor; the surviving ambiguity is the
     # polynomial blindness of interior bumps, removed later by the fit
